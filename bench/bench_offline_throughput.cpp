@@ -1,6 +1,7 @@
 // Slipstream offline throughput: Tracker::locate_all over a synthetic
 // capture (serial vs a 1/2/4/8 thread sweep), per-stage timings from
-// LocateAllProfile, the gated Gamma-memo cache's effect, and the parallel
+// LocateAllProfile, grouping + the gated Gamma memo against the hand-written
+// per-device loop (tests/attack_oracles.h), and the parallel
 // Monte-Carlo / AP-Rad kernels. The acceptance bar is a >= 4x locate_all
 // speedup at 4+ threads; on machines with >= 4 hardware cores missing it is
 // a hard failure, on smaller runners it reports WARN. Every parallel run is
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "analysis/theorems.h"
+#include "attack_oracles.h"
 #include "capture/observation_store.h"
 #include "marauder/ap_database.h"
 #include "marauder/aprad.h"
@@ -113,11 +115,13 @@ struct LocateRun {
   ResultMap results;
 };
 
-/// Times locate_all on a fresh tracker per rep (cold cache each time, so the
-/// reported hit rate is the intra-run duplicate fraction, not rep warm-up).
+/// Times locate_all — or, with `per_device`, the per-device oracle loop (no
+/// grouping, no memo) — on a fresh tracker per rep (cold cache each time,
+/// so the reported hit rate is the intra-run duplicate fraction, not rep
+/// warm-up).
 LocateRun run_locate(const marauder::ApDatabase& db,
                      const capture::ObservationStore& store, std::size_t threads,
-                     bool gamma_cache, int reps) {
+                     bool per_device, int reps) {
   LocateRun run;
   run.threads = threads;
   run.best_s = 1e300;
@@ -125,11 +129,11 @@ LocateRun run_locate(const marauder::ApDatabase& db,
     marauder::TrackerOptions options;
     options.algorithm = marauder::Algorithm::kMLoc;
     options.threads = threads;
-    options.gamma_cache = gamma_cache;
     marauder::Tracker tracker(db, options);
     marauder::LocateAllProfile profile;
     const double t0 = now_seconds();
-    ResultMap results = tracker.locate_all(store, {}, &profile);
+    ResultMap results = per_device ? oracle::locate_each(tracker, store)
+                                   : tracker.locate_all(store, {}, &profile);
     const double elapsed = now_seconds() - t0;
     if (elapsed < run.best_s) {
       run.best_s = elapsed;
@@ -172,9 +176,9 @@ int main(int argc, char** argv) {
             << clusters << " clusters, " << hw_cores << " hw cores"
             << (smoke ? ", smoke" : "") << ")\n\n";
 
-  // locate_all baselines: serial without the Gamma cache, serial with it.
-  const LocateRun serial_nocache = run_locate(db, store, 1, false, reps);
-  const LocateRun serial = run_locate(db, store, 1, true, reps);
+  // Serial baselines: the per-device loop (no memo), then locate_all.
+  const LocateRun serial_nocache = run_locate(db, store, 1, true, reps);
+  const LocateRun serial = run_locate(db, store, 1, false, reps);
   const double cache_speedup =
       serial.best_s > 0.0 ? serial_nocache.best_s / serial.best_s : 0.0;
   const double hit_rate =
@@ -182,7 +186,7 @@ int main(int argc, char** argv) {
           ? static_cast<double>(serial.cache.hits) /
                 static_cast<double>(serial.cache.hits + serial.cache.misses)
           : 0.0;
-  std::cout << "locate_all serial (no cache): "
+  std::cout << "per-device loop (no cache):   "
             << static_cast<std::uint64_t>(serial_nocache.devices_per_sec)
             << " devices/s\n"
             << "locate_all serial (cache):    "
@@ -204,7 +208,7 @@ int main(int argc, char** argv) {
   double locate_speedup = 0.0;  // best speedup among 4+ thread points
   std::cout << "thread sweep (cache on):\n";
   for (const std::size_t t : sweep_threads) {
-    LocateRun run = run_locate(db, store, t, true, reps);
+    LocateRun run = run_locate(db, store, t, false, reps);
     const double speedup = run.best_s > 0.0 ? serial.best_s / run.best_s : 0.0;
     const bool identical = same_results(serial.results, run.results);
     locate_identical = locate_identical && identical;

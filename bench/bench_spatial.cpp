@@ -6,8 +6,8 @@
 //                 [--out BENCH_spatial.json]
 //
 // Two experiments per size:
-//   * AP-Rad constraint generation (aprad_prepare_constraints) with the
-//     Atlas grid vs the O(n^2) all-pairs neighbour scan;
+//   * AP-Rad constraint generation (aprad_prepare_constraints, which runs
+//     the Atlas grid) vs the O(n^2) all-pairs oracle in tests/attack_oracles.h;
 //   * simulated delivery: the same probing scenario through a kIndexed world
 //     vs a kScan world.
 // Equivalence is a hard failure (exit 1): any bit difference between the
@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "attack_oracles.h"
 #include "capture/sniffer.h"
 #include "geo/spatial_index.h"
 #include "marauder/ap_database.h"
@@ -129,21 +130,16 @@ ApRadRow bench_aprad(std::size_t num_aps, int reps) {
   const auto db = marauder::ApDatabase::from_truth(truth, false);
   const auto gammas = make_gammas(truth);
 
-  marauder::ApRadOptions scan_opts;
-  scan_opts.spatial_index = false;
-  marauder::ApRadOptions grid_opts;
-  grid_opts.spatial_index = true;
-
   marauder::ApRadConstraints scan_out;
   marauder::ApRadConstraints grid_out;
   row.scan_s = 1e300;
   row.grid_s = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
     double t0 = now_seconds();
-    scan_out = marauder::aprad_prepare_constraints(db, gammas, scan_opts);
+    scan_out = oracle::aprad_constraints_all_pairs(db, gammas);
     row.scan_s = std::min(row.scan_s, now_seconds() - t0);
     t0 = now_seconds();
-    grid_out = marauder::aprad_prepare_constraints(db, gammas, grid_opts);
+    grid_out = marauder::aprad_prepare_constraints(db, gammas);
     row.grid_s = std::min(row.grid_s, now_seconds() - t0);
   }
   row.identical = same_constraints(scan_out, grid_out);

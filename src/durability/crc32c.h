@@ -17,6 +17,8 @@
 #include <cstring>
 #include <span>
 
+#include "util/endian.h"
+
 #if defined(__x86_64__) || defined(__i386__)
 #include <nmmintrin.h>
 #define MM_CRC32C_HW 1
@@ -56,9 +58,8 @@ inline constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrc32cTables =
   const auto& t = kCrc32cTables;
   std::uint32_t crc = 0xFFFFFFFFu;
   while (size >= 8) {
-    std::uint64_t chunk = 0;
-    std::memcpy(&chunk, data, 8);
-    chunk ^= crc;  // little-endian: crc folds into the first four bytes
+    // The crc folds into the chunk's first four bytes.
+    const std::uint64_t chunk = util::le::load_u64(data) ^ crc;
     crc = t[7][chunk & 0xFFu] ^ t[6][(chunk >> 8) & 0xFFu] ^
           t[5][(chunk >> 16) & 0xFFu] ^ t[4][(chunk >> 24) & 0xFFu] ^
           t[3][(chunk >> 32) & 0xFFu] ^ t[2][(chunk >> 40) & 0xFFu] ^

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -87,42 +86,27 @@ ApRadConstraints aprad_prepare_constraints(
 
   // Soft "<" upper bounds against each AP's nearest non-co-observed
   // neighbours (the binding pressure is local; an unlimited O(n^2) set of
-  // soft rows would swamp the solver on a dense campus). This per-AP
-  // neighbour scan used to be the self-documented O(n^2) hot spot; it now
-  // runs through an Atlas grid over the observed positions — only APs within
-  // the 2R interest disc are candidates at all. The grid returns ascending
-  // indices (exactly the old j-loop order) and the original strict
-  // d < 2R predicate re-filters its inclusive boundary, so the candidate
-  // list, its (d, j) sort, and every LP row are bit-identical to the scan.
-  // Each AP's scan is independent, so rows of `selected` fill in parallel
-  // and are folded in i order below. Selected distances are kept alongside
-  // the pairs: the LP rounds used to re-derive every "<" row's distance per
-  // round.
+  // soft rows would swamp the solver on a dense campus). Candidates come
+  // from an Atlas grid over the observed positions — only APs within the 2R
+  // interest disc are candidates at all. The grid returns ascending indices
+  // and the strict d < 2R predicate re-filters its inclusive boundary, so
+  // the candidate list, its (d, j) sort, and every LP row equal the
+  // all-pairs scan (the test-side oracle). Each AP's scan is independent,
+  // so rows of `selected` fill in parallel and are folded in i order below.
   const double interest_radius = 2.0 * options.max_radius_m;
-  std::optional<geo::SpatialIndex> grid;
-  if (options.spatial_index) {
-    geo::SpatialIndex built(std::max(1.0, options.max_radius_m));
-    for (std::size_t i = 0; i < position.size(); ++i) built.insert(i, position[i]);
-    grid.emplace(std::move(built));
-  }
+  geo::SpatialIndex grid(std::max(1.0, options.max_radius_m));
+  for (std::size_t i = 0; i < position.size(); ++i) grid.insert(i, position[i]);
   std::vector<std::vector<std::pair<IndexPair, double>>> selected(observed.size());
   util::parallel_map_into(
       pool, par, selected,
       [&](std::size_t i) {
         std::vector<std::pair<double, std::size_t>> candidates;
-        const auto consider = [&](std::size_t j) {
-          if (j == i) return;
+        for (const std::size_t j : grid.query_disc(position[i], interest_radius)) {
+          if (j == i) continue;
           const auto key = std::minmax(i, j);
-          if (co_observed.count({key.first, key.second}) != 0) return;
+          if (co_observed.count({key.first, key.second}) != 0) continue;
           const double d = position[i].distance_to(position[j]);
           if (d < interest_radius) candidates.emplace_back(d, j);
-        };
-        if (grid) {
-          for (const geo::SpatialIndex::Id j : grid->query_disc(position[i], interest_radius)) {
-            consider(j);
-          }
-        } else {
-          for (std::size_t j = 0; j < observed.size(); ++j) consider(j);
         }
         std::sort(candidates.begin(), candidates.end());
         const std::size_t take = std::min(options.max_less_neighbors, candidates.size());
@@ -157,7 +141,11 @@ ApRadConstraints aprad_prepare_constraints(
 std::map<net80211::MacAddress, double> aprad_estimate_radii(
     const ApDatabase& db, const std::vector<std::set<net80211::MacAddress>>& gammas,
     const ApRadOptions& options) {
-  const ApRadConstraints prepared = aprad_prepare_constraints(db, gammas, options);
+  return aprad_solve_radii(aprad_prepare_constraints(db, gammas, options), options);
+}
+
+std::map<net80211::MacAddress, double> aprad_solve_radii(const ApRadConstraints& prepared,
+                                                         const ApRadOptions& options) {
   const std::vector<net80211::MacAddress>& observed = prepared.observed;
   const std::map<IndexPair, double>& less_rows = prepared.less_rows;
   const std::vector<IndexPair>& co_pairs = prepared.co_pairs;

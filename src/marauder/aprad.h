@@ -49,12 +49,6 @@ struct ApRadOptions {
   /// "<" neighbour scan): 1 = serial, 0 = one per hardware core.
   /// Output is bit-identical at any setting (fixed chunks, ordered merge).
   std::size_t threads = 1;
-  /// Route the "<" neighbour scan through an Atlas grid over the observed AP
-  /// positions (query radius 2x the cap) instead of the O(n^2) all-pairs
-  /// loop. Candidate sets, LP rows, and radii are bit-identical either way
-  /// (the grid returns ascending indices and the original strict predicate
-  /// re-filters them); the flag exists so benches can time the scan oracle.
-  bool spatial_index = true;
   MLocOptions mloc;
 };
 
@@ -77,8 +71,13 @@ struct ApRadConstraints {
     const ApDatabase& db, const std::vector<std::set<net80211::MacAddress>>& gammas,
     const ApRadOptions& options = {});
 
-/// Radii estimated by the LP, keyed by BSSID (only observed APs appear).
-/// Throws std::runtime_error if the LP fails to reach an optimum.
+/// The LP rounds over prepared constraints: radii keyed by BSSID (only
+/// observed APs appear). Throws std::runtime_error if the LP fails to reach
+/// an optimum.
+[[nodiscard]] std::map<net80211::MacAddress, double> aprad_solve_radii(
+    const ApRadConstraints& constraints, const ApRadOptions& options = {});
+
+/// aprad_solve_radii(aprad_prepare_constraints(db, gammas, options), options).
 [[nodiscard]] std::map<net80211::MacAddress, double> aprad_estimate_radii(
     const ApDatabase& db, const std::vector<std::set<net80211::MacAddress>>& gammas,
     const ApRadOptions& options = {});

@@ -12,7 +12,7 @@
 // individually-toggleable evidence signals:
 //
 //   (a) SSID fingerprint — the directed-probe SSID overlap of Pang et al.
-//       (the original marauder::linker signal, strongest when devices leak
+//       (the legacy SSID linker's signal, strongest when devices leak
 //       remembered networks);
 //   (b) sequence continuity — the 12-bit 802.11 sequence counter keeps
 //       counting across a rotation, so a fresh MAC whose first frames pick

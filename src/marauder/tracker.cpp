@@ -19,23 +19,11 @@ namespace mm::marauder {
 
 namespace {
 
-/// Method tags mixed into the Gamma-cache key so the M-Loc and AP-Rad
-/// keyspaces cannot collide (their MLocOptions differ).
-constexpr std::uint64_t kCacheTagMLoc = 0x4d2d4c6f63ULL;    // "M-Loc"
-constexpr std::uint64_t kCacheTagApRad = 0x41502d526164ULL; // "AP-Rad"
-
-/// Key of a disc set: every coordinate enters the hash through its exact bit
-/// pattern, so two Gammas collide only when their discs are identical to the
-/// last bit (and a full equality check below rules out hash collisions).
-std::uint64_t disc_set_key(const std::vector<geo::Circle>& discs, std::uint64_t tag) {
-  std::uint64_t h = util::hash_combine(tag, discs.size());
-  for (const geo::Circle& disc : discs) {
-    h = util::hash_combine(h, std::bit_cast<std::uint64_t>(disc.center.x));
-    h = util::hash_combine(h, std::bit_cast<std::uint64_t>(disc.center.y));
-    h = util::hash_combine(h, std::bit_cast<std::uint64_t>(disc.radius));
-  }
-  return h;
-}
+/// locate_all() consults the cross-call memo only when at least this share
+/// of a batch's devices duplicated an earlier device's disc set. Below it the
+/// memo is a locked insert per unique Gamma with nothing to amortize it;
+/// grouping inside the batch has already caught whatever duplication exists.
+constexpr double kMemoMinDuplicateRatio = 0.05;
 
 bool same_discs(const std::vector<geo::Circle>& a, const std::vector<geo::Circle>& b) {
   if (a.size() != b.size()) return false;
@@ -79,11 +67,6 @@ struct Tracker::GammaCache {
   };
   std::array<Shard, kShards> shards;
 
-  /// Last locate_all batch's measured duplication (guarded by meta_mutex).
-  std::mutex meta_mutex;
-  double duplicate_ratio = 0.0;
-  bool engaged = false;
-
   Shard& shard_for(std::uint64_t key) { return shards[util::shard_of(key, kShards)]; }
 
   /// Copies the memoized result into `out` and credits `hit_count` hits
@@ -123,12 +106,6 @@ struct Tracker::GammaCache {
     bucket.emplace_back(discs, result);
   }
 
-  void set_meta(double ratio, bool engaged_now) {
-    std::lock_guard<std::mutex> lock(meta_mutex);
-    duplicate_ratio = ratio;
-    engaged = engaged_now;
-  }
-
   [[nodiscard]] GammaCacheStats stats() {
     GammaCacheStats out;
     for (Shard& s : shards) {
@@ -136,9 +113,6 @@ struct Tracker::GammaCache {
       out.hits += s.hits;
       out.misses += s.misses;
     }
-    std::lock_guard<std::mutex> lock(meta_mutex);
-    out.duplicate_ratio = duplicate_ratio;
-    out.engaged = engaged;
     return out;
   }
 
@@ -149,8 +123,82 @@ struct Tracker::GammaCache {
       s.hits = 0;
       s.misses = 0;
     }
-    set_meta(0.0, false);
   }
+};
+
+/// M-Loc's and AP-Rad's one per-device plan, run by both locate() and
+/// locate_all(): Gamma -> slab ranks of its known APs -> the exact key of
+/// their disc set. Ranks ascend (Gamma is sorted, the slab BSSID-ordered),
+/// the discs are built from the ranks, and every disc coordinate enters the
+/// key through its exact bit pattern, so a device has one key and one disc
+/// set whichever call planned it. Construction forces the database's lazy
+/// views once; planning only reads them, so workers share one planner.
+class Tracker::DiscPlanner {
+ public:
+  explicit DiscPlanner(const Tracker& tracker)
+      : slab_(tracker.db_.disc_slab()),
+        rank_(tracker.db_.rank_index()),
+        aprad_(tracker.options_.algorithm == Algorithm::kApRad),
+        // AP-Rad's unknown radii fall back to the Theorem-1 cap
+        // (overestimates preferred, Theorem 3).
+        unknown_radius_m_(aprad_ ? tracker.options_.aprad.max_radius_m
+                                 : tracker.options_.default_radius_m),
+        mloc_(aprad_ ? tracker.options_.aprad.mloc : tracker.options_.mloc),
+        // Faultline convention: degrade, don't throw. Without the LP radii
+        // the defensible disc set is the cap for every heard AP — coarse but
+        // covering — and the result is flagged so the display can grey it.
+        fallback_(aprad_ && !tracker.prepared_) {}
+
+  /// Replaces `ranks` with the device's plan and returns its key; `gamma`
+  /// is scratch.
+  std::uint64_t plan(const capture::ObservationStore& store,
+                     const net80211::MacAddress& device,
+                     const capture::ObservationWindow& window,
+                     std::vector<net80211::MacAddress>& gamma,
+                     std::vector<std::uint32_t>& ranks) const {
+    gamma.clear();
+    store.gamma_append(device, window, gamma);
+    ranks.clear();
+    ranks.reserve(gamma.size());
+    for (const net80211::MacAddress& mac : gamma) {
+      const auto it = rank_.find(mac);
+      if (it != rank_.end()) ranks.push_back(it->second);
+    }
+    std::uint64_t key = util::hash_combine(0, ranks.size());
+    for (const std::uint32_t r : ranks) {
+      key = util::hash_combine(key, std::bit_cast<std::uint64_t>(slab_.x[r]));
+      key = util::hash_combine(key, std::bit_cast<std::uint64_t>(slab_.y[r]));
+      key = util::hash_combine(key, std::bit_cast<std::uint64_t>(radius(r)));
+    }
+    return key;
+  }
+
+  /// Replaces `discs` with the disc set a plan stands for.
+  void discs(const std::vector<std::uint32_t>& ranks, std::vector<geo::Circle>& discs) const {
+    discs.clear();
+    discs.reserve(ranks.size());
+    for (const std::uint32_t r : ranks) discs.push_back({{slab_.x[r], slab_.y[r]}, radius(r)});
+  }
+
+  [[nodiscard]] const MLocOptions& mloc() const noexcept { return mloc_; }
+
+  /// Stamps the method (and unprepared AP-Rad's fallback flag) on a result.
+  void stamp(LocalizationResult& result) const {
+    result.method = aprad_ ? "AP-Rad" : "M-Loc";
+    if (fallback_) result.used_fallback = true;
+  }
+
+ private:
+  [[nodiscard]] double radius(std::uint32_t r) const {
+    return std::isnan(slab_.radius[r]) ? unknown_radius_m_ : slab_.radius[r];
+  }
+
+  ApDatabase::DiscSlabView slab_;
+  const ApDatabase::RankMap& rank_;
+  bool aprad_;
+  double unknown_radius_m_;
+  const MLocOptions& mloc_;
+  bool fallback_;
 };
 
 const char* to_string(Algorithm algorithm) noexcept {
@@ -174,7 +222,7 @@ const char* to_string(Algorithm algorithm) noexcept {
 Tracker::Tracker(ApDatabase db, TrackerOptions options)
     : db_(std::move(db)),
       options_(std::move(options)),
-      cache_(std::make_shared<GammaCache>()) {
+      cache_(std::make_unique<GammaCache>()) {
   if (options_.algorithm == Algorithm::kApLoc) {
     throw std::invalid_argument("Tracker: AP-Loc requires from_training()");
   }
@@ -183,6 +231,10 @@ Tracker::Tracker(ApDatabase db, TrackerOptions options)
     db_.strip_radii();
   }
 }
+
+Tracker::Tracker(Tracker&&) noexcept = default;
+Tracker& Tracker::operator=(Tracker&&) noexcept = default;
+Tracker::~Tracker() = default;
 
 Tracker Tracker::from_training(const std::vector<capture::TrainingTuple>& tuples,
                                TrackerOptions options) {
@@ -223,44 +275,30 @@ void Tracker::prepare(const capture::ObservationStore& store,
 LocalizationResult Tracker::locate(const capture::ObservationStore& store,
                                    const net80211::MacAddress& device,
                                    const capture::ObservationWindow& window) const {
-  // The sorted-vector Gamma: same members, same ascending order as gamma(),
-  // without a red-black-tree allocation per member on the hot path.
-  const std::vector<net80211::MacAddress> gamma = store.gamma_sorted(device, window);
   switch (options_.algorithm) {
-    case Algorithm::kMLoc: {
-      LocalizationResult result = cached_mloc(
-          db_.discs_for(gamma, options_.default_radius_m), options_.mloc, kCacheTagMLoc);
-      result.method = "M-Loc";
-      return result;
-    }
+    case Algorithm::kMLoc:
     case Algorithm::kApRad: {
-      if (!prepared_) {
-        // Faultline convention: degrade, don't throw. Without the LP radii
-        // the defensible disc set is the Theorem-1 cap for every heard AP —
-        // a coarse but covering region — and the result is flagged so the
-        // display can grey it out.
-        LocalizationResult result =
-            cached_mloc(db_.discs_for(gamma, options_.aprad.max_radius_m),
-                        options_.aprad.mloc, kCacheTagApRad);
-        result.method = "AP-Rad";
-        result.used_fallback = true;
-        return result;
+      const DiscPlanner planner(*this);
+      std::vector<net80211::MacAddress> gamma;
+      std::vector<std::uint32_t> ranks;
+      std::vector<geo::Circle> discs;
+      const std::uint64_t key = planner.plan(store, device, window, gamma, ranks);
+      planner.discs(ranks, discs);
+      LocalizationResult result;
+      if (!cache_->try_get(key, discs, /*hit_count=*/1, result)) {
+        result = mloc_locate(discs, planner.mloc());
+        cache_->put(key, discs, result, /*miss_count=*/1, /*hit_count=*/0);
       }
-      // Radii were materialized into db_ by prepare(); unknown ones fall
-      // back to the cap (overestimates preferred, Theorem 3).
-      LocalizationResult result =
-          cached_mloc(db_.discs_for(gamma, options_.aprad.max_radius_m),
-                      options_.aprad.mloc, kCacheTagApRad);
-      result.method = "AP-Rad";
+      planner.stamp(result);
       return result;
     }
     case Algorithm::kApLoc:
       throw std::logic_error("Tracker: AP-Loc trackers run as AP-Rad after training");
-    case Algorithm::kCentroid: {
-      return centroid_locate(db_.positions_for(gamma));
-    }
+    case Algorithm::kCentroid:
+      return centroid_locate(db_.positions_for(store.gamma_sorted(device, window)));
     case Algorithm::kNearestAp:
     case Algorithm::kWeightedCentroid: {
+      const std::vector<net80211::MacAddress> gamma = store.gamma_sorted(device, window);
       std::vector<std::pair<geo::Vec2, double>> with_rssi;
       const capture::DeviceRecord* rec = store.device(device);
       if (rec != nullptr) {
@@ -281,18 +319,16 @@ LocalizationResult Tracker::locate(const capture::ObservationStore& store,
 std::map<net80211::MacAddress, LocalizationResult> Tracker::locate_all(
     const capture::ObservationStore& store, const capture::ObservationWindow& window,
     LocateAllProfile* profile) const {
-  if (options_.soa_arena && (options_.algorithm == Algorithm::kMLoc ||
-                             options_.algorithm == Algorithm::kApRad)) {
-    return locate_all_arena(store, window, profile);
+  if (options_.algorithm == Algorithm::kMLoc || options_.algorithm == Algorithm::kApRad) {
+    return locate_all_grouped(store, window, profile);
   }
 
+  // The baselines: one locate() per device, fanned out over the sorted
+  // device list, slotted by index, then folded into the map in MAC order —
+  // the exact sequence the serial loop produces. Chunks are coarse
+  // (balanced_chunk): each dispatch must amortize over a batch of devices.
   const auto t0 = std::chrono::steady_clock::now();
   const std::vector<net80211::MacAddress> devices = store.devices();
-  // Per-device localizations are independent: fan out over the sorted device
-  // list, slot each result by index, then fold into the map in MAC order —
-  // the exact sequence the serial loop produced. Chunks are coarse
-  // (balanced_chunk): each dispatch must amortize over a batch of devices,
-  // not the 4-device chunks that sank Afterburner's parallel win.
   std::vector<LocalizationResult> per_device(devices.size());
   util::parallel_map_into(
       util::ThreadPool::shared(), options_.threads, per_device,
@@ -314,40 +350,21 @@ std::map<net80211::MacAddress, LocalizationResult> Tracker::locate_all(
     profile->devices = devices.size();
     profile->unique_gammas = devices.size();
     profile->outlier_devices = outliers;
-    profile->cache_engaged = options_.gamma_cache &&
-                             (options_.algorithm == Algorithm::kMLoc ||
-                              options_.algorithm == Algorithm::kApRad);
   }
   return results;
 }
 
-std::map<net80211::MacAddress, LocalizationResult> Tracker::locate_all_arena(
+std::map<net80211::MacAddress, LocalizationResult> Tracker::locate_all_grouped(
     const capture::ObservationStore& store, const capture::ObservationWindow& window,
     LocateAllProfile* profile) const {
   const auto t0 = std::chrono::steady_clock::now();
   const std::vector<net80211::MacAddress> devices = store.devices();
   const std::size_t n = devices.size();
-
-  // Force the database's lazy views once, up front: the workers below only
-  // ever read them (no per-probe mutex).
-  const ApDatabase::DiscSlabView slab = db_.disc_slab();
-  const ApDatabase::RankMap& ranks = db_.rank_index();
-
-  const bool aprad = options_.algorithm == Algorithm::kApRad;
-  const double default_radius =
-      aprad ? options_.aprad.max_radius_m : options_.default_radius_m;
-  const MLocOptions& mloc_opts = aprad ? options_.aprad.mloc : options_.mloc;
-  const std::uint64_t tag = aprad ? kCacheTagApRad : kCacheTagMLoc;
-  const char* method = aprad ? "AP-Rad" : "M-Loc";
-
+  const DiscPlanner planner(*this);
   util::ThreadPool& pool = util::ThreadPool::shared();
 
-  // Plan: per-device disc ranks (ascending, because Gamma is sorted and the
-  // slab is BSSID-ordered) and the exact disc-set key. Both are slotted by
-  // device index, so the plan is identical at any parallelism. The key hash
-  // sequence matches disc_set_key(discs_for(gamma, default), tag) bit for
-  // bit — the slab holds the same doubles discs_for copies out of KnownAp —
-  // so the arena and the per-device locate() path share one memo keyspace.
+  // Plan every device, slotted by device index, so the plan is identical at
+  // any parallelism.
   std::vector<std::vector<std::uint32_t>> device_ranks(n);
   std::vector<std::uint64_t> keys(n);
   pool.run_chunks(
@@ -355,23 +372,7 @@ std::map<net80211::MacAddress, LocalizationResult> Tracker::locate_all_arena(
       [&](std::size_t, std::size_t begin, std::size_t end) {
         std::vector<net80211::MacAddress> gamma;  // reused across the chunk
         for (std::size_t i = begin; i < end; ++i) {
-          gamma.clear();
-          store.gamma_append(devices[i], window, gamma);
-          std::vector<std::uint32_t>& dr = device_ranks[i];
-          dr.reserve(gamma.size());
-          for (const net80211::MacAddress& mac : gamma) {
-            const auto it = ranks.find(mac);
-            if (it != ranks.end()) dr.push_back(it->second);
-          }
-          std::uint64_t h = util::hash_combine(tag, dr.size());
-          for (const std::uint32_t r : dr) {
-            const double radius =
-                std::isnan(slab.radius[r]) ? default_radius : slab.radius[r];
-            h = util::hash_combine(h, std::bit_cast<std::uint64_t>(slab.x[r]));
-            h = util::hash_combine(h, std::bit_cast<std::uint64_t>(slab.y[r]));
-            h = util::hash_combine(h, std::bit_cast<std::uint64_t>(radius));
-          }
-          keys[i] = h;
+          keys[i] = planner.plan(store, devices[i], window, gamma, device_ranks[i]);
         }
       });
 
@@ -379,50 +380,35 @@ std::map<net80211::MacAddress, LocalizationResult> Tracker::locate_all_arena(
   // order so group numbering is deterministic. Equality is rank-sequence
   // equality: within one call the slab is fixed, so equal ranks mean equal
   // discs; a cross-sequence hash collision merely splits a group (correct,
-  // just one extra compute). Grouping is skipped entirely with the cache
-  // off — that path is the true per-device baseline.
+  // just one extra compute).
   constexpr std::uint32_t kNoGroup = std::numeric_limits<std::uint32_t>::max();
   std::vector<std::uint32_t> group_of(n, 0);
   std::vector<std::uint32_t> rep;         // group -> representative device
   std::vector<std::uint32_t> group_size;  // group -> member count
-  if (options_.gamma_cache) {
-    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> index;
-    index.reserve(n * 2);
-    for (std::size_t i = 0; i < n; ++i) {
-      std::vector<std::uint32_t>& candidates = index[keys[i]];
-      std::uint32_t g = kNoGroup;
-      for (const std::uint32_t cand : candidates) {
-        if (device_ranks[rep[cand]] == device_ranks[i]) {
-          g = cand;
-          break;
-        }
+  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> index;
+  index.reserve(n * 2);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<std::uint32_t>& candidates = index[keys[i]];
+    std::uint32_t g = kNoGroup;
+    for (const std::uint32_t cand : candidates) {
+      if (device_ranks[rep[cand]] == device_ranks[i]) {
+        g = cand;
+        break;
       }
-      if (g == kNoGroup) {
-        g = static_cast<std::uint32_t>(rep.size());
-        rep.push_back(static_cast<std::uint32_t>(i));
-        group_size.push_back(0);
-        candidates.push_back(g);
-      }
-      group_of[i] = g;
-      ++group_size[g];
     }
-  } else {
-    rep.resize(n);
-    group_size.assign(n, 1);
-    for (std::size_t i = 0; i < n; ++i) {
-      rep[i] = static_cast<std::uint32_t>(i);
-      group_of[i] = static_cast<std::uint32_t>(i);
+    if (g == kNoGroup) {
+      g = static_cast<std::uint32_t>(rep.size());
+      rep.push_back(static_cast<std::uint32_t>(i));
+      group_size.push_back(0);
+      candidates.push_back(g);
     }
+    group_of[i] = g;
+    ++group_size[g];
   }
 
   const double duplicate_ratio =
       n == 0 ? 0.0 : static_cast<double>(n - rep.size()) / static_cast<double>(n);
-  // The cross-call memo engages only when the measured duplication clears
-  // the bar; below it the memo would be a locked insert per unique Gamma
-  // with nothing amortizing it. Within-batch grouping above already
-  // captured whatever duplication exists.
-  const bool engaged = options_.gamma_cache && n > 0 &&
-                       duplicate_ratio >= options_.gamma_cache_min_duplicate_ratio;
+  const bool engaged = n > 0 && duplicate_ratio >= kMemoMinDuplicateRatio;
 
   const auto t1 = std::chrono::steady_clock::now();
 
@@ -438,16 +424,11 @@ std::map<net80211::MacAddress, LocalizationResult> Tracker::locate_all_arena(
         MLocScratch scratch;
         for (std::size_t g = begin; g < end; ++g) {
           const std::uint32_t d = rep[g];
-          discs.clear();
-          for (const std::uint32_t r : device_ranks[d]) {
-            const double radius =
-                std::isnan(slab.radius[r]) ? default_radius : slab.radius[r];
-            discs.push_back({{slab.x[r], slab.y[r]}, radius});
-          }
+          planner.discs(device_ranks[d], discs);
           if (engaged && cache_->try_get(keys[d], discs, group_size[g], group_results[g])) {
             continue;
           }
-          group_results[g] = mloc_locate(discs, mloc_opts, scratch);
+          group_results[g] = mloc_locate(discs, planner.mloc(), scratch);
           if (engaged) {
             cache_->put(keys[d], discs, group_results[g], 1, group_size[g] - 1);
           }
@@ -458,23 +439,19 @@ std::map<net80211::MacAddress, LocalizationResult> Tracker::locate_all_arena(
 
   // Fan the group results back out to their devices and fold into the map in
   // ascending-MAC order — the exact sequence the serial per-device loop
-  // produced. Unprepared AP-Rad results carry the Faultline fallback flag,
-  // matching locate().
-  const bool force_fallback = aprad && !prepared_;
+  // produces.
   std::map<net80211::MacAddress, LocalizationResult> results;
   std::size_t outliers = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const LocalizationResult& group_result = group_results[group_of[i]];
     if (!group_result.ok) continue;
     LocalizationResult r = group_result;
-    r.method = method;
-    if (force_fallback) r.used_fallback = true;
+    planner.stamp(r);
     if (r.discs_rejected > 0) ++outliers;
     results.emplace(devices[i], std::move(r));
   }
   const auto t3 = std::chrono::steady_clock::now();
 
-  cache_->set_meta(duplicate_ratio, engaged);
   if (profile != nullptr) {
     *profile = {};
     profile->plan_s = seconds_between(t0, t1);
@@ -487,18 +464,6 @@ std::map<net80211::MacAddress, LocalizationResult> Tracker::locate_all_arena(
     profile->cache_engaged = engaged;
   }
   return results;
-}
-
-LocalizationResult Tracker::cached_mloc(std::vector<geo::Circle> discs,
-                                        const MLocOptions& mloc,
-                                        std::uint64_t method_tag) const {
-  if (!options_.gamma_cache) return mloc_locate(discs, mloc);
-  const std::uint64_t key = disc_set_key(discs, method_tag);
-  LocalizationResult result;
-  if (cache_->try_get(key, discs, /*hit_count=*/1, result)) return result;
-  result = mloc_locate(discs, mloc);
-  cache_->put(key, discs, result, /*miss_count=*/1, /*hit_count=*/0);
-  return result;
 }
 
 GammaCacheStats Tracker::gamma_cache_stats() const { return cache_->stats(); }

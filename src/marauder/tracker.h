@@ -4,7 +4,7 @@
 // Marauder's map display feeds from.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <vector>
@@ -36,37 +36,15 @@ struct TrackerOptions {
   /// merged in ascending-MAC order, so the result map is identical — bit for
   /// bit — at any setting.
   std::size_t threads = 1;
-  /// Memoize localization by Gamma disc set. Co-located devices (same room,
-  /// same AP contacts) share identical disc sets, and M-Loc / AP-Rad are
-  /// pure functions of those discs — so repeats cost one hash + compare.
-  bool gamma_cache = true;
-  /// locate_all() measures the duplicate-Gamma ratio of each batch and only
-  /// engages the cross-call memo when it clears this bar. Afterburner
-  /// shipped the memo unconditionally; on low-duplication captures it was a
-  /// mutex + map insert per device for nothing (and the single mutex
-  /// serialized the whole parallel batch). Within-batch duplicate *grouping*
-  /// is always on when gamma_cache is — only the shared memo is gated.
-  double gamma_cache_min_duplicate_ratio = 0.05;
-  /// Slipstream arena path for locate_all (M-Loc / AP-Rad): Gammas stream
-  /// through the database's SoA disc slab, duplicates are grouped before any
-  /// localization runs, and per-worker scratch makes the locate loop
-  /// allocation-free. false = Afterburner's per-device loop (A/B reference;
-  /// bit-identical results either way).
-  bool soa_arena = true;
   ApRadOptions aprad;
   ApLocOptions aploc;
   MLocOptions mloc;
 };
 
 /// Counters for the Gamma-memo cache (cumulative since the last prepare()).
-/// duplicate_ratio / engaged describe the most recent locate_all batch: the
-/// measured fraction of devices whose disc set duplicated an earlier
-/// device's, and whether that cleared gamma_cache_min_duplicate_ratio.
 struct GammaCacheStats {
   std::size_t hits = 0;
   std::size_t misses = 0;
-  double duplicate_ratio = 0.0;
-  bool engaged = false;
 };
 
 /// Per-stage wall-clock breakdown of one locate_all() call (filled when the
@@ -82,10 +60,15 @@ struct LocateAllProfile {
   bool cache_engaged = false;       ///< cross-call memo used for this batch
 };
 
+/// Move-only: the Gamma memo belongs to one tracker, so a copy's prepare()
+/// can never clear another tracker's memo or counters.
 class Tracker {
  public:
   /// External-knowledge construction (M-Loc / AP-Rad / baselines).
   Tracker(ApDatabase db, TrackerOptions options);
+  Tracker(Tracker&&) noexcept;
+  Tracker& operator=(Tracker&&) noexcept;
+  ~Tracker();
 
   /// Training-phase construction (AP-Loc): the database is built from the
   /// wardriving tuples; tuples also seed co-observation evidence.
@@ -102,11 +85,11 @@ class Tracker {
                                           const net80211::MacAddress& device,
                                           const capture::ObservationWindow& window = {}) const;
 
-  /// Locates every monitored device. With soa_arena (M-Loc / AP-Rad) the
-  /// batch runs plan -> group -> locate-unique -> fan-out; otherwise one
-  /// locate() per device. Either way the result map is bit-identical to the
-  /// serial per-device loop at any thread count. `profile`, when non-null,
-  /// receives the per-stage timing breakdown.
+  /// Locates every monitored device: the result map equals one locate() per
+  /// device, bit for bit, at any thread count. M-Loc / AP-Rad batches run
+  /// plan -> group duplicate disc sets -> locate each unique set once ->
+  /// fan out; the baselines run one locate() per device. `profile`, when
+  /// non-null, receives the per-stage timing breakdown.
   [[nodiscard]] std::map<net80211::MacAddress, LocalizationResult> locate_all(
       const capture::ObservationStore& store,
       const capture::ObservationWindow& window = {},
@@ -114,21 +97,18 @@ class Tracker {
 
   [[nodiscard]] const ApDatabase& database() const noexcept { return db_; }
   [[nodiscard]] const TrackerOptions& options() const noexcept { return options_; }
+  /// Whether prepare() has run (unprepared AP-Rad results carry used_fallback).
+  [[nodiscard]] bool prepared() const noexcept { return prepared_; }
 
-  /// Hit/miss counters of the Gamma-memo cache (zeros when disabled).
+  /// Hit/miss counters of the Gamma-memo cache.
   [[nodiscard]] GammaCacheStats gamma_cache_stats() const;
 
  private:
-  struct GammaCache;  ///< sharded, keyed by hashed disc set; thread-safe
+  struct GammaCache;   ///< sharded, keyed by hashed disc set; thread-safe
+  class DiscPlanner;  ///< M-Loc / AP-Rad's per-device plan: Gamma -> discs -> key
 
-  /// M-Loc through the Gamma-memo cache. `method_tag` distinguishes the
-  /// M-Loc and AP-Rad keyspaces; `mloc` must be the per-algorithm options.
-  [[nodiscard]] LocalizationResult cached_mloc(std::vector<geo::Circle> discs,
-                                               const MLocOptions& mloc,
-                                               std::uint64_t method_tag) const;
-
-  /// Slipstream batch path for M-Loc / AP-Rad (see locate_all).
-  [[nodiscard]] std::map<net80211::MacAddress, LocalizationResult> locate_all_arena(
+  /// The M-Loc / AP-Rad batch: plan, group, locate unique, fan out.
+  [[nodiscard]] std::map<net80211::MacAddress, LocalizationResult> locate_all_grouped(
       const capture::ObservationStore& store, const capture::ObservationWindow& window,
       LocateAllProfile* profile) const;
 
@@ -136,7 +116,7 @@ class Tracker {
   TrackerOptions options_;
   std::vector<std::set<net80211::MacAddress>> training_evidence_;
   bool prepared_ = false;
-  std::shared_ptr<GammaCache> cache_;  ///< shared_ptr keeps Tracker movable
+  std::unique_ptr<GammaCache> cache_;
 };
 
 }  // namespace mm::marauder

@@ -1,7 +1,7 @@
 // Trajectory assembly: turn per-burst location estimates into a movement
 // track for one identity — what the Marauder's Map display actually shows
 // (Fig 7's moving tags). Works across MAC rotations when given a linked
-// identity's full alias list, completing the linker -> tracker -> display
+// identity's full alias list, completing the resolver -> tracker -> display
 // pipeline.
 #pragma once
 

@@ -1,6 +1,9 @@
 #include "net80211/pcap.h"
 
 #include <array>
+#include <vector>
+
+#include "util/endian.h"
 
 namespace mm::net80211 {
 
@@ -9,40 +12,22 @@ constexpr std::uint32_t kMagicUsec = 0xa1b2c3d4;
 constexpr std::uint32_t kMagicUsecSwapped = 0xd4c3b2a1;
 constexpr std::uint32_t kMagicNsec = 0xa1b23c4d;
 
-void put_u32(std::ofstream& out, std::uint32_t v) {
-  std::array<char, 4> bytes{
-      static_cast<char>(v & 0xff),
-      static_cast<char>((v >> 8) & 0xff),
-      static_cast<char>((v >> 16) & 0xff),
-      static_cast<char>((v >> 24) & 0xff),
-  };
-  out.write(bytes.data(), bytes.size());
-}
-
-void put_u16(std::ofstream& out, std::uint16_t v) {
-  std::array<char, 2> bytes{
-      static_cast<char>(v & 0xff),
-      static_cast<char>((v >> 8) & 0xff),
-  };
-  out.write(bytes.data(), bytes.size());
+void write_bytes(std::ofstream& out, std::span<const std::uint8_t> bytes) {
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
 }
 
 bool take_u32(std::ifstream& in, std::uint32_t& v) {
-  std::array<char, 4> bytes{};
-  if (!in.read(bytes.data(), bytes.size())) return false;
-  v = static_cast<std::uint8_t>(bytes[0]) |
-      (static_cast<std::uint32_t>(static_cast<std::uint8_t>(bytes[1])) << 8) |
-      (static_cast<std::uint32_t>(static_cast<std::uint8_t>(bytes[2])) << 16) |
-      (static_cast<std::uint32_t>(static_cast<std::uint8_t>(bytes[3])) << 24);
+  std::array<std::uint8_t, 4> bytes{};
+  if (!in.read(reinterpret_cast<char*>(bytes.data()), bytes.size())) return false;
+  v = util::le::load_u32(bytes.data());
   return true;
 }
 
 bool take_u16(std::ifstream& in, std::uint16_t& v) {
-  std::array<char, 2> bytes{};
-  if (!in.read(bytes.data(), bytes.size())) return false;
-  v = static_cast<std::uint16_t>(
-      static_cast<std::uint8_t>(bytes[0]) |
-      (static_cast<std::uint16_t>(static_cast<std::uint8_t>(bytes[1])) << 8));
+  std::array<std::uint8_t, 2> bytes{};
+  if (!in.read(reinterpret_cast<char*>(bytes.data()), bytes.size())) return false;
+  v = util::le::load_u16(bytes.data());
   return true;
 }
 }  // namespace
@@ -54,13 +39,15 @@ PcapWriter::PcapWriter(const std::filesystem::path& path, std::uint32_t linktype
     error_ = "pcap: cannot create " + path.string();
     return;
   }
-  put_u32(out_, kMagicUsec);
-  put_u16(out_, 2);  // version major
-  put_u16(out_, 4);  // version minor
-  put_u32(out_, 0);  // thiszone
-  put_u32(out_, 0);  // sigfigs
-  put_u32(out_, snaplen_);
-  put_u32(out_, linktype);
+  std::vector<std::uint8_t> header;
+  util::le::append_u32(header, kMagicUsec);
+  util::le::append_u16(header, 2);  // version major
+  util::le::append_u16(header, 4);  // version minor
+  util::le::append_u32(header, 0);  // thiszone
+  util::le::append_u32(header, 0);  // sigfigs
+  util::le::append_u32(header, snaplen_);
+  util::le::append_u32(header, linktype);
+  write_bytes(out_, header);
   if (!out_) error_ = "pcap: failed to write global header to " + path.string();
 }
 
@@ -70,12 +57,14 @@ bool PcapWriter::write(std::uint64_t timestamp_us, std::span<const std::uint8_t>
     return false;
   }
   const std::size_t incl = std::min<std::size_t>(frame.size(), snaplen_);
-  put_u32(out_, static_cast<std::uint32_t>(timestamp_us / 1000000));
-  put_u32(out_, static_cast<std::uint32_t>(timestamp_us % 1000000));
-  put_u32(out_, static_cast<std::uint32_t>(incl));
-  put_u32(out_, static_cast<std::uint32_t>(frame.size()));
-  out_.write(reinterpret_cast<const char*>(frame.data()),
-             static_cast<std::streamsize>(incl));
+  std::array<std::uint8_t, 16> record_header;
+  util::le::store_u32(record_header.data(), static_cast<std::uint32_t>(timestamp_us / 1000000));
+  util::le::store_u32(record_header.data() + 4,
+                      static_cast<std::uint32_t>(timestamp_us % 1000000));
+  util::le::store_u32(record_header.data() + 8, static_cast<std::uint32_t>(incl));
+  util::le::store_u32(record_header.data() + 12, static_cast<std::uint32_t>(frame.size()));
+  write_bytes(out_, record_header);
+  write_bytes(out_, frame.first(incl));
   if (!out_) {
     error_ = "pcap: record write failed";
     ++write_failures_;

@@ -1,8 +1,9 @@
 // Afterburner's core promise: the parallel offline stack is bit-for-bit
 // identical to its serial twin at any thread count — locate_all (clean and
 // under an active fault plan), AP-Rad's constraint generation, the
-// Monte-Carlo theorem kernels, and the Gamma-memo cache. Run under TSan in
-// CI alongside the pool contract tests.
+// Monte-Carlo theorem kernels, and the Gamma-memo cache — and locate_all
+// equals the hand-written per-device loop (attack_oracles.h) for every
+// algorithm. Run under TSan in CI alongside the pool contract tests.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "analysis/theorems.h"
+#include "attack_oracles.h"
 #include "capture/sniffer.h"
 #include "marauder/aprad.h"
 #include "marauder/tracker.h"
@@ -98,45 +100,53 @@ Capture make_capture(const fault::FaultPlan& plan = {}) {
   return c;
 }
 
-ResultMap locate_all_with(const Capture& c, std::size_t threads, bool cache,
-                          bool reject_outliers, bool soa_arena = true) {
+marauder::Tracker mloc_tracker(const Capture& c, std::size_t threads, bool reject_outliers) {
   marauder::TrackerOptions options;
   options.algorithm = marauder::Algorithm::kMLoc;
   options.threads = threads;
-  options.gamma_cache = cache;
   options.mloc.reject_outliers = reject_outliers;
-  options.soa_arena = soa_arena;
-  marauder::Tracker tracker(marauder::ApDatabase::from_truth(c.truth, true), options);
-  return tracker.locate_all(c.store);
+  return marauder::Tracker(marauder::ApDatabase::from_truth(c.truth, true), options);
+}
+
+ResultMap locate_all_with(const Capture& c, std::size_t threads, bool reject_outliers) {
+  return mloc_tracker(c, threads, reject_outliers).locate_all(c.store);
+}
+
+fault::FaultPlan corrupt_duplicate_plan() {
+  fault::FaultPlan plan;
+  plan.corrupt_rate = 0.08;
+  plan.duplicate_rate = 0.05;
+  return plan;
 }
 
 TEST(AfterburnerDeterminism, LocateAllBitIdenticalAcrossThreadCounts) {
   const Capture c = make_capture();
   ASSERT_GE(c.store.device_count(), 10u);
-  const ResultMap serial = locate_all_with(c, 1, true, false);
+  const ResultMap serial = locate_all_with(c, 1, false);
   ASSERT_FALSE(serial.empty());
-  expect_same_results(serial, locate_all_with(c, 2, true, false));
-  expect_same_results(serial, locate_all_with(c, 8, true, false));
+  expect_same_results(serial, locate_all_with(c, 2, false));
+  expect_same_results(serial, locate_all_with(c, 8, false));
 }
 
 TEST(AfterburnerDeterminism, GammaCacheDoesNotChangeResults) {
+  // The memoized, grouped, threaded batch against the per-device oracle,
+  // which never touches the memo.
   const Capture c = make_capture();
-  expect_same_results(locate_all_with(c, 1, false, false),
-                      locate_all_with(c, 8, true, false));
+  const marauder::Tracker tracker = mloc_tracker(c, 8, false);
+  const ResultMap first = tracker.locate_all(c.store);
+  expect_same_results(oracle::locate_each(tracker, c.store), first);
+  expect_same_results(first, tracker.locate_all(c.store));  // answered by the memo
 }
 
 TEST(AfterburnerDeterminism, LocateAllIdenticalUnderFaultPlan) {
   // Corrupted frames make inconsistent disc sets likely, so this run drives
   // the greedy rejection path (distance-matrix code) across thread counts.
-  fault::FaultPlan plan;
-  plan.corrupt_rate = 0.08;
-  plan.duplicate_rate = 0.05;
-  const Capture c = make_capture(plan);
+  const Capture c = make_capture(corrupt_duplicate_plan());
   ASSERT_GE(c.store.device_count(), 8u);
-  const ResultMap serial = locate_all_with(c, 1, true, true);
+  const ResultMap serial = locate_all_with(c, 1, true);
   ASSERT_FALSE(serial.empty());
-  expect_same_results(serial, locate_all_with(c, 2, true, true));
-  expect_same_results(serial, locate_all_with(c, 8, true, true));
+  expect_same_results(serial, locate_all_with(c, 2, true));
+  expect_same_results(serial, locate_all_with(c, 8, true));
 }
 
 TEST(AfterburnerDeterminism, ApRadRadiiIdenticalAcrossThreadCounts) {
@@ -178,25 +188,70 @@ TEST(AfterburnerDeterminism, MonteCarloKernelsBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(SlipstreamDeterminism, FullMatrixBitIdenticalUnderFaultPlan) {
-  // The Slipstream contract, exhaustively: thread count x Gamma-cache x
-  // arena/legacy path all produce the bit-identical result map, under a
-  // fault plan so the outlier-rejection scratch path is exercised too. The
-  // reference is the serial, uncached, legacy per-device loop — the
-  // configuration closest to a hand-written for loop.
-  fault::FaultPlan plan;
-  plan.corrupt_rate = 0.08;
-  plan.duplicate_rate = 0.05;
-  const Capture c = make_capture(plan);
+  // The Slipstream contract, exhaustively: every thread count, on a cold
+  // memo and on the warm memo of a second batch, produces the bit-identical
+  // result map, under a fault plan so the outlier-rejection scratch path is
+  // exercised too. The reference is the hand-written per-device loop.
+  const Capture c = make_capture(corrupt_duplicate_plan());
   ASSERT_GE(c.store.device_count(), 8u);
-  const ResultMap reference =
-      locate_all_with(c, 1, /*cache=*/false, /*reject_outliers=*/true, /*soa_arena=*/false);
+  const ResultMap reference = oracle::locate_each(mloc_tracker(c, 1, true), c.store);
   ASSERT_FALSE(reference.empty());
   for (const std::size_t threads : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
-    for (const bool cache : {false, true}) {
-      for (const bool soa : {false, true}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads) +
-                     " cache=" + std::to_string(cache) + " soa=" + std::to_string(soa));
-        expect_same_results(reference, locate_all_with(c, threads, cache, true, soa));
+    const marauder::Tracker tracker = mloc_tracker(c, threads, true);
+    for (const char* memo : {"cold", "warm"}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " memo=" + memo);
+      expect_same_results(reference, tracker.locate_all(c.store));
+    }
+  }
+}
+
+TEST(SlipstreamDeterminism, LocateAllEqualsPerDeviceLocateForEveryAlgorithm) {
+  // locate_all == {mac -> locate(mac)} == the per-device oracle, for every
+  // algorithm a Tracker runs (AP-Rad both before and after prepare()), at
+  // several thread counts, clean and under the corrupt/duplicate plan.
+  struct Case {
+    const char* name;
+    marauder::Algorithm algorithm;
+    bool prepare;
+  };
+  const Case cases[] = {
+      {"M-Loc", marauder::Algorithm::kMLoc, false},
+      {"AP-Rad prepared", marauder::Algorithm::kApRad, true},
+      {"AP-Rad unprepared", marauder::Algorithm::kApRad, false},
+      {"Centroid", marauder::Algorithm::kCentroid, false},
+      {"NearestAp", marauder::Algorithm::kNearestAp, false},
+      {"WeightedCentroid", marauder::Algorithm::kWeightedCentroid, false},
+  };
+  for (const bool faulty : {false, true}) {
+    const Capture c = make_capture(faulty ? corrupt_duplicate_plan() : fault::FaultPlan{});
+    ASSERT_GE(c.store.device_count(), 8u);
+    for (const Case& k : cases) {
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+        SCOPED_TRACE(std::string(k.name) + " threads=" + std::to_string(threads) +
+                     (faulty ? " faulty" : " clean"));
+        marauder::TrackerOptions options;
+        options.algorithm = k.algorithm;
+        options.threads = threads;
+        options.mloc.reject_outliers = faulty;
+        options.aprad.mloc.reject_outliers = faulty;
+        marauder::Tracker tracker(marauder::ApDatabase::from_truth(c.truth, true), options);
+        if (k.prepare) tracker.prepare(c.store);
+        const ResultMap batch = tracker.locate_all(c.store);
+        ASSERT_FALSE(batch.empty());
+        expect_same_results(oracle::locate_each(tracker, c.store), batch);
+        ResultMap per_device;
+        for (const auto& mac : c.store.devices()) {
+          marauder::LocalizationResult r = tracker.locate(c.store, mac);
+          if (r.ok) per_device.emplace(mac, std::move(r));
+        }
+        expect_same_results(per_device, batch);
+        const bool fallback = k.algorithm == marauder::Algorithm::kApRad && !k.prepare;
+        for (const auto& [mac, r] : batch) {
+          if (fallback) {
+            EXPECT_TRUE(r.used_fallback) << mac.to_string();
+          }
+          EXPECT_EQ(r.method, marauder::to_string(k.algorithm)) << mac.to_string();
+        }
       }
     }
   }
@@ -204,7 +259,7 @@ TEST(SlipstreamDeterminism, FullMatrixBitIdenticalUnderFaultPlan) {
 
 TEST(SlipstreamCacheGate, MemoDisengagesOnLowDuplication) {
   // Every device hears its own disjoint AP triple: zero duplicate Gammas, so
-  // the batch must stay below gamma_cache_min_duplicate_ratio and never
+  // the batch must stay below the 5% memo gate and never
   // touch the shared memo (the counters stay zero), while still grouping —
   // trivially — and producing per-device results.
   sim::CampusConfig campus;
@@ -234,7 +289,6 @@ TEST(SlipstreamCacheGate, MemoDisengagesOnLowDuplication) {
   const auto stats = tracker.gamma_cache_stats();
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 0u);
-  EXPECT_FALSE(stats.engaged);
 }
 
 TEST(AfterburnerDeterminism, GammaCacheHitsOnSharedGammasAndStaysExact) {
@@ -262,10 +316,9 @@ TEST(AfterburnerDeterminism, GammaCacheHitsOnSharedGammasAndStaysExact) {
   const auto stats = cached.gamma_cache_stats();
   EXPECT_EQ(stats.misses, 2u);  // one per distinct Gamma
   EXPECT_EQ(stats.hits, 8u);
-  EXPECT_TRUE(stats.engaged);  // 8/10 duplicates clears the 5% gate easily
-  EXPECT_EQ(stats.duplicate_ratio, 0.8);
+  EXPECT_EQ(profile.duplicate_ratio, 0.8);
+  EXPECT_TRUE(profile.cache_engaged);  // 8/10 duplicates clears the 5% gate easily
   EXPECT_EQ(profile.unique_gammas, 2u);
-  EXPECT_TRUE(profile.cache_engaged);
 
   // A second batch answers every device from the cross-call memo.
   const ResultMap second = cached.locate_all(store);
@@ -274,9 +327,7 @@ TEST(AfterburnerDeterminism, GammaCacheHitsOnSharedGammasAndStaysExact) {
   EXPECT_EQ(stats2.misses, 2u);
   EXPECT_EQ(stats2.hits, 18u);
 
-  options.gamma_cache = false;
-  marauder::Tracker uncached(marauder::ApDatabase::from_truth(truth, true), options);
-  expect_same_results(with_cache, uncached.locate_all(store));
+  expect_same_results(oracle::locate_each(cached, store), with_cache);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // linear-scan baseline it replaced. This file pins the three layers end to
 // end — the medium's delivery culling (kScan vs kIndexed worlds running the
 // same scenario, clean and under a fault plan), AP-Rad's grid neighbour scan
-// vs the O(n^2) oracle across thread counts, and ApDatabase's grid queries
-// vs brute force over sorted_records().
+// vs the O(n^2) all-pairs oracle (attack_oracles.h) across thread counts,
+// and ApDatabase's grid queries vs brute force over sorted_records().
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "attack_oracles.h"
 #include "capture/sniffer.h"
 #include "marauder/aprad.h"
 #include "marauder/tracker.h"
@@ -352,34 +353,25 @@ TEST(AtlasEquivalence, ApRadConstraintsGridMatchesScanAcrossThreads) {
   const marauder::ApDatabase db =
       marauder::ApDatabase::from_truth(sim::generate_campus_aps(campus), false);
 
-  std::optional<marauder::ApRadConstraints> reference;
-  std::optional<std::map<net80211::MacAddress, double>> reference_radii;
-  for (const bool spatial : {false, true}) {
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      marauder::ApRadOptions options;
-      options.spatial_index = spatial;
-      options.threads = threads;
-      const marauder::ApRadConstraints got =
-          marauder::aprad_prepare_constraints(db, gammas, options);
-      const auto radii = marauder::aprad_estimate_radii(db, gammas, options);
-      if (!reference) {
-        EXPECT_FALSE(got.observed.empty());
-        EXPECT_FALSE(got.less_rows.empty());
-        reference = got;
-        reference_radii = radii;
-        continue;
-      }
-      EXPECT_EQ(reference->observed, got.observed) << spatial << "/" << threads;
-      ASSERT_EQ(reference->position.size(), got.position.size());
-      for (std::size_t i = 0; i < got.position.size(); ++i) {
-        EXPECT_EQ(reference->position[i].x, got.position[i].x);
-        EXPECT_EQ(reference->position[i].y, got.position[i].y);
-      }
-      EXPECT_EQ(reference->less_rows, got.less_rows) << spatial << "/" << threads;
-      EXPECT_EQ(reference->co_pairs, got.co_pairs) << spatial << "/" << threads;
-      EXPECT_EQ(reference->co_dist, got.co_dist) << spatial << "/" << threads;
-      EXPECT_EQ(*reference_radii, radii) << spatial << "/" << threads;
+  const marauder::ApRadConstraints reference = oracle::aprad_constraints_all_pairs(db, gammas);
+  EXPECT_FALSE(reference.observed.empty());
+  EXPECT_FALSE(reference.less_rows.empty());
+  const auto reference_radii = marauder::aprad_solve_radii(reference);
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    marauder::ApRadOptions options;
+    options.threads = threads;
+    const marauder::ApRadConstraints got =
+        marauder::aprad_prepare_constraints(db, gammas, options);
+    EXPECT_EQ(reference.observed, got.observed) << threads;
+    ASSERT_EQ(reference.position.size(), got.position.size());
+    for (std::size_t i = 0; i < got.position.size(); ++i) {
+      EXPECT_EQ(reference.position[i].x, got.position[i].x);
+      EXPECT_EQ(reference.position[i].y, got.position[i].y);
     }
+    EXPECT_EQ(reference.less_rows, got.less_rows) << threads;
+    EXPECT_EQ(reference.co_pairs, got.co_pairs) << threads;
+    EXPECT_EQ(reference.co_dist, got.co_dist) << threads;
+    EXPECT_EQ(reference_radii, marauder::aprad_estimate_radii(db, gammas, options)) << threads;
   }
 }
 

@@ -1,21 +1,21 @@
 // Chimera IdentityResolver: the two-level pseudonym -> identity model.
 //
 // Covers the refactor's acceptance contract: the null point (no signals =
-// one singleton per MAC, the pre-Chimera behaviour), bit-equivalence with
-// the legacy SSID linker, thread-count independence of resolution, the
-// sequence/Gamma signals re-linking rotations the SSID fingerprint misses,
-// and the adversarial cases — coincident fingerprints, rotation inside a
+// one singleton per MAC, the pre-Chimera behaviour), the legacy SSID
+// linker's cases under default options, thread-count independence of
+// resolution, the sequence/Gamma signals re-linking rotations the SSID
+// fingerprint misses, and the adversarial cases — coincident fingerprints, rotation inside a
 // silent gap, counter wraparound at 4096, ambiguous seams.
 #include "marauder/identity.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
-
-#include "marauder/linker.h"
 
 namespace mm::marauder {
 namespace {
@@ -71,9 +71,12 @@ TEST(IdentityResolver, NoSignalsYieldsOneSingletonPerMac) {
   }
 }
 
-// --- legacy linker equivalence ----------------------------------------
+// --- SSID-fingerprint linking (default options) -----------------------
 
 TEST(IdentityResolver, SsidOnlyMatchesLegacyLinkerExactly) {
+  // The groups the legacy SSID linker produced on this capture, pinned:
+  // transitive linking through a shared SSID, a crowd SSID (6 devices > the
+  // popularity floor of 3) dropped from every fingerprint, loners kept.
   capture::ObservationStore store;
   probe(store, 0, 1.0, {"net-a"});
   probe(store, 1, 2.0, {"net-a", "net-b"});
@@ -82,16 +85,121 @@ TEST(IdentityResolver, SsidOnlyMatchesLegacyLinkerExactly) {
   probe(store, 4, 5.0, {});
   for (int i = 10; i < 16; ++i) probe(store, i, 6.0, {"crowded-net"});
 
-  const std::vector<LinkedIdentity> legacy = link_identities(store);
-
   ResolverOptions options;  // defaults == legacy linker defaults
   const IdentityMap map = resolve_identities(store, options);
 
-  ASSERT_EQ(map.size(), legacy.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(map.identities[i].macs, legacy[i].macs) << "group " << i;
-    EXPECT_EQ(map.identities[i].fingerprint, legacy[i].fingerprint) << "group " << i;
+  ASSERT_EQ(map.size(), 9u);
+  EXPECT_EQ(map.identities[0].macs, (std::vector{mac(0), mac(1), mac(2)}));
+  EXPECT_EQ(map.identities[0].fingerprint, (std::set<std::string>{"net-a", "net-b"}));
+  EXPECT_EQ(map.identities[1].macs, std::vector{mac(3)});
+  EXPECT_EQ(map.identities[1].fingerprint, std::set<std::string>{"solo-net"});
+  EXPECT_EQ(map.identities[2].macs, std::vector{mac(4)});
+  for (std::size_t i = 2; i < map.size(); ++i) {
+    if (i > 2) {
+      EXPECT_EQ(map.identities[i].macs, std::vector{mac(static_cast<int>(i) + 7)});
+    }
+    EXPECT_TRUE(map.identities[i].fingerprint.empty()) << "group " << i;
   }
+}
+
+TEST(Linker, EmptyStoreNoIdentities) {
+  const capture::ObservationStore store;
+  EXPECT_TRUE(resolve_identities(store).identities.empty());
+}
+
+TEST(Linker, SingletonWithoutFingerprint) {
+  capture::ObservationStore store;
+  probe(store, 0, 1.0, {});
+  const auto identities = resolve_identities(store).identities;
+  ASSERT_EQ(identities.size(), 1u);
+  EXPECT_EQ(identities[0].macs.size(), 1u);
+  EXPECT_FALSE(identities[0].pseudonymous());
+  EXPECT_TRUE(identities[0].fingerprint.empty());
+}
+
+TEST(Linker, SharedSsidLinksTwoMacs) {
+  capture::ObservationStore store;
+  probe(store, 0, 1.0, {"home-wifi-2819"});
+  probe(store, 1, 60.0, {"home-wifi-2819"});
+  const auto identities = resolve_identities(store).identities;
+  ASSERT_EQ(identities.size(), 1u);
+  EXPECT_TRUE(identities[0].pseudonymous());
+  ASSERT_EQ(identities[0].macs.size(), 2u);
+  // First-seen order: mac(0) before mac(1).
+  EXPECT_EQ(identities[0].macs[0], mac(0));
+  EXPECT_EQ(identities[0].macs[1], mac(1));
+  EXPECT_EQ(identities[0].fingerprint.count("home-wifi-2819"), 1u);
+}
+
+TEST(Linker, DistinctFingerprintsStaySeparate) {
+  capture::ObservationStore store;
+  probe(store, 0, 1.0, {"alices-net"});
+  probe(store, 1, 2.0, {"bobs-net"});
+  EXPECT_EQ(resolve_identities(store).size(), 2u);
+}
+
+TEST(Linker, TransitiveLinking) {
+  capture::ObservationStore store;
+  probe(store, 0, 1.0, {"net-a"});
+  probe(store, 1, 2.0, {"net-a", "net-b"});
+  probe(store, 2, 3.0, {"net-b"});
+  const auto identities = resolve_identities(store).identities;
+  ASSERT_EQ(identities.size(), 1u);
+  EXPECT_EQ(identities[0].macs.size(), 3u);
+  EXPECT_EQ(identities[0].fingerprint.size(), 2u);
+}
+
+TEST(Linker, PopularSsidDoesNotLink) {
+  capture::ObservationStore store;
+  // Five unrelated devices probing for the same campus network.
+  for (int i = 0; i < 5; ++i) probe(store, i, static_cast<double>(i), {"eduroam"});
+  ResolverOptions options;
+  options.max_ssid_popularity = 3;
+  const auto identities = resolve_identities(store, options).identities;
+  EXPECT_EQ(identities.size(), 5u);  // nobody merged
+}
+
+TEST(Linker, MinOverlapTwoRequiresTwoSharedSsids) {
+  capture::ObservationStore store;
+  probe(store, 0, 1.0, {"net-a", "net-b"});
+  probe(store, 1, 2.0, {"net-a"});              // only one shared
+  probe(store, 2, 3.0, {"net-a", "net-b"});     // both shared
+  ResolverOptions options;
+  options.min_overlap = 2;
+  const auto identities = resolve_identities(store, options).identities;
+  EXPECT_EQ(identities.size(), 2u);
+  const auto linked = std::find_if(identities.begin(), identities.end(),
+                                   [](const ResolvedIdentity& id) { return id.macs.size() == 2; });
+  ASSERT_NE(linked, identities.end());
+  EXPECT_EQ(linked->macs[0], mac(0));
+  EXPECT_EQ(linked->macs[1], mac(2));
+}
+
+TEST(Linker, DevicesSeenOnlyViaContactsAreSingletons) {
+  capture::ObservationStore store;
+  store.record_contact(mac(10), mac(0), 1.0, -70.0);  // device 0 never probed
+  const auto identities = resolve_identities(store).identities;
+  ASSERT_EQ(identities.size(), 1u);
+  EXPECT_EQ(identities[0].macs[0], mac(0));
+}
+
+TEST(Linker, EveryMacAppearsExactlyOnce) {
+  capture::ObservationStore store;
+  probe(store, 0, 1.0, {"x"});
+  probe(store, 1, 2.0, {"x"});
+  probe(store, 2, 3.0, {"y"});
+  probe(store, 3, 4.0, {});
+  const auto identities = resolve_identities(store).identities;
+  std::size_t total = 0;
+  std::set<net80211::MacAddress> seen;
+  for (const auto& identity : identities) {
+    for (const auto& m : identity.macs) {
+      ++total;
+      seen.insert(m);
+    }
+  }
+  EXPECT_EQ(total, 4u);
+  EXPECT_EQ(seen.size(), 4u);
 }
 
 // --- thread-count independence ----------------------------------------

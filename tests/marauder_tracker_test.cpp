@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <type_traits>
+#include <utility>
 
 #include "capture/sniffer.h"
 #include "capture/wardrive.h"
@@ -212,6 +214,25 @@ TEST(TrackerEndToEnd, WeightedCentroidWorksAndMLocBeatsIt) {
   const double weighted_err = mean_error(p, weighted);
   EXPECT_LT(weighted_err, 120.0);
   EXPECT_LT(mean_error(p, mloc), weighted_err);
+}
+
+TEST(Tracker, IsMoveOnlyAndAMoveKeepsTheMemo) {
+  // A copy would share the original's Gamma memo, so its prepare() would
+  // clear that memo and zero the original's counters.
+  static_assert(!std::is_copy_constructible_v<Tracker>);
+  static_assert(!std::is_copy_assignable_v<Tracker>);
+  static_assert(std::is_nothrow_move_constructible_v<Tracker>);
+
+  const Pipeline p = run_campus_walk(606, 40);
+  Tracker a(ApDatabase::from_truth(p.truth, true), {.algorithm = Algorithm::kMLoc});
+  const LocalizationResult first = a.locate(p.store, kVictim);
+  ASSERT_TRUE(first.ok);
+  Tracker b = std::move(a);
+  EXPECT_EQ(b.gamma_cache_stats().misses, 1u);
+  const LocalizationResult again = b.locate(p.store, kVictim);
+  EXPECT_EQ(b.gamma_cache_stats().hits, 1u);
+  EXPECT_EQ(again.estimate.x, first.estimate.x);
+  EXPECT_EQ(again.estimate.y, first.estimate.y);
 }
 
 TEST(Tracker, UnknownDeviceNotLocated) {

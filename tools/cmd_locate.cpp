@@ -5,7 +5,7 @@
 #include "commands.h"
 #include "fault/fault_plan.h"
 #include "maps/html_map.h"
-#include "marauder/linker.h"
+#include "marauder/identity.h"
 #include "marauder/tracker.h"
 #include "marauder/trajectory.h"
 #include "sim/scenario.h"
@@ -102,7 +102,7 @@ int cmd_locate(const util::Flags& flags) {
   marauder::Tracker tracker(std::move(db), options);
   tracker.prepare(store);
 
-  const auto identities = marauder::link_identities(store);
+  const auto identities = marauder::resolve_identities(store).identities;
   util::Table table({"identity (first MAC)", "aliases", "track pts", "last x (m)",
                      "last y (m)", "lat", "lon", "|Gamma|", "nearest AP", "degraded"});
   maps::MarauderMap map("mmctl locate — " + algorithm_name, frame);
