@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 #include <vector>
 
@@ -148,15 +149,22 @@ TEST(DiscIntersection, AreaDecreasesAsDiscsAdded) {
   }
 }
 
+// gtest prints a case it has no printer for as its raw bytes, and the ctest
+// name of each case is that printout. `name_bytes` fills the slot that would
+// otherwise be padding, so every byte is set and the names are the same on
+// every build; its values keep the names the cases have always been run under.
 struct AreaCase {
   int k;
+  std::uint32_t name_bytes;
   std::uint64_t seed;
 };
+static_assert(sizeof(AreaCase) == 16, "AreaCase must have no padding bytes");
 
 class MonteCarloAreaTest : public ::testing::TestWithParam<AreaCase> {};
 
 TEST_P(MonteCarloAreaTest, ClosedFormMatchesMonteCarlo) {
-  const auto [k, seed] = GetParam();
+  const int k = GetParam().k;
+  const std::uint64_t seed = GetParam().seed;
   util::Rng rng(seed);
   std::vector<Circle> discs;
   for (int i = 0; i < k; ++i) {
@@ -171,11 +179,14 @@ TEST_P(MonteCarloAreaTest, ClosedFormMatchesMonteCarlo) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, MonteCarloAreaTest,
-                         ::testing::Values(AreaCase{2, 101}, AreaCase{2, 102},
-                                           AreaCase{3, 201}, AreaCase{3, 202},
-                                           AreaCase{4, 301}, AreaCase{5, 401},
-                                           AreaCase{6, 501}, AreaCase{8, 601},
-                                           AreaCase{10, 701}, AreaCase{12, 801}));
+                         ::testing::Values(AreaCase{2, 0, 101}, AreaCase{2, 0, 102},
+                                           AreaCase{3, 0, 201},
+                                           AreaCase{3, 0x002C3B03, 202},
+                                           AreaCase{4, 0xEFD00000, 301},
+                                           AreaCase{5, 0, 401}, AreaCase{6, 0, 501},
+                                           AreaCase{8, 0x00091E03, 601},
+                                           AreaCase{10, 0xCAD00000, 701},
+                                           AreaCase{12, 0, 801}));
 
 class TrueLocationCoverageTest : public ::testing::TestWithParam<int> {};
 
