@@ -4,27 +4,24 @@
 
 namespace mm::capture {
 
-namespace {
-using DeviceMap =
-    std::unordered_map<net80211::MacAddress, DeviceRecord, net80211::MacHasher>;
-
-DeviceRecord& touch_device(DeviceMap& devices, const net80211::MacAddress& mac,
-                           sim::SimTime time) {
-  auto [it, inserted] = devices.try_emplace(mac);
-  DeviceRecord& rec = it->second;
+ObservationStore::Entry& ObservationStore::touch_device(const net80211::MacAddress& mac,
+                                                        sim::SimTime time) {
+  auto [it, inserted] = devices_.try_emplace(mac);
+  Entry& entry = it->second;
   if (inserted) {
-    rec.mac = mac;
-    rec.first_seen = time;
+    entry.record.mac = mac;
+    entry.record.first_seen = time;
+    entry.slot = static_cast<std::uint32_t>(spans_.size());
+    spans_.push_back({.mac = mac});
   }
-  rec.last_seen = std::max(rec.last_seen, time);
-  return rec;
+  entry.record.last_seen = std::max(entry.record.last_seen, time);
+  return entry;
 }
-}  // namespace
 
 void ObservationStore::record_probe_request(const net80211::MacAddress& device,
                                             sim::SimTime time,
                                             const std::optional<std::string>& directed_ssid) {
-  DeviceRecord& rec = touch_device(devices_, device, time);
+  DeviceRecord& rec = touch_device(device, time).record;
   ++rec.probe_requests;
   if (directed_ssid && !directed_ssid->empty()) {
     if (std::find(rec.directed_ssids.begin(), rec.directed_ssids.end(), *directed_ssid) ==
@@ -36,14 +33,15 @@ void ObservationStore::record_probe_request(const net80211::MacAddress& device,
 
 void ObservationStore::record_presence(const net80211::MacAddress& device,
                                        sim::SimTime time) {
-  (void)touch_device(devices_, device, time);
+  (void)touch_device(device, time);
 }
 
 void ObservationStore::record_contact(const net80211::MacAddress& ap,
                                       const net80211::MacAddress& device, sim::SimTime time,
                                       double rssi_dbm) {
-  DeviceRecord& rec = touch_device(devices_, device, time);
-  auto [it, inserted] = rec.contacts.try_emplace(ap);
+  Entry& entry = touch_device(device, time);
+  spans_[entry.slot].widen(time);
+  auto [it, inserted] = entry.record.contacts.try_emplace(ap);
   ApContact& contact = it->second;
   if (inserted) contact.first_seen = time;
   contact.last_seen = time;
@@ -66,7 +64,7 @@ void ObservationStore::cap_contact_history(ApContact& contact) const {
 
 void ObservationStore::record_device_seq(const net80211::MacAddress& device,
                                          sim::SimTime time, std::uint16_t seq) {
-  DeviceRecord& rec = touch_device(devices_, device, time);
+  DeviceRecord& rec = touch_device(device, time).record;
   seq &= 0x0FFF;
   if (rec.seq_frames == 0) {
     rec.first_seq = seq;
@@ -94,14 +92,27 @@ void ObservationStore::record_beacon(const net80211::MacAddress& bssid,
 std::vector<net80211::MacAddress> ObservationStore::devices() const {
   std::vector<net80211::MacAddress> out;
   out.reserve(devices_.size());
-  for (const auto& [mac, rec] : devices_) out.push_back(mac);
+  for (const auto& [mac, entry] : devices_) out.push_back(mac);
   std::sort(out.begin(), out.end());
   return out;
 }
 
 const DeviceRecord* ObservationStore::device(const net80211::MacAddress& mac) const {
   const auto it = devices_.find(mac);
-  return it == devices_.end() ? nullptr : &it->second;
+  return it == devices_.end() ? nullptr : &it->second.record;
+}
+
+std::vector<net80211::MacAddress> ObservationStore::contact_devices(
+    const ObservationWindow& window) const {
+  // Any instant t in the window has lo <= t <= end and hi >= t >= begin, so
+  // the test below keeps every device with an instant in the window. An
+  // empty span (lo = +inf, hi = -inf) never passes.
+  std::vector<net80211::MacAddress> out;
+  for (const ContactSpan& span : spans_) {
+    if (span.lo <= window.end && span.hi >= window.begin) out.push_back(span.mac);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 std::set<net80211::MacAddress> ObservationStore::gamma(
@@ -149,8 +160,7 @@ void ObservationStore::gamma_append(const net80211::MacAddress& device,
 std::vector<std::set<net80211::MacAddress>> ObservationStore::all_gammas(
     const ObservationWindow& window) const {
   std::vector<std::set<net80211::MacAddress>> gammas;
-  gammas.reserve(devices_.size());
-  for (const auto& mac : devices()) {
+  for (const auto& mac : contact_devices(window)) {
     auto g = gamma(mac, window);
     if (!g.empty()) gammas.push_back(std::move(g));
   }
@@ -160,7 +170,7 @@ std::vector<std::set<net80211::MacAddress>> ObservationStore::all_gammas(
 std::vector<std::set<net80211::MacAddress>> ObservationStore::session_gammas(
     double session_gap_s, const ObservationWindow& window) const {
   std::vector<std::set<net80211::MacAddress>> gammas;
-  for (const auto& mac : devices()) {
+  for (const auto& mac : contact_devices(window)) {
     const DeviceRecord& rec = *device(mac);
     // Flatten the device's contact events into a time-sorted list.
     std::vector<std::pair<sim::SimTime, net80211::MacAddress>> events;
@@ -189,18 +199,31 @@ std::vector<std::set<net80211::MacAddress>> ObservationStore::session_gammas(
 
 std::size_t ObservationStore::probing_device_count() const {
   std::size_t count = 0;
-  for (const auto& [mac, rec] : devices_) count += rec.probe_requests > 0 ? 1 : 0;
+  for (const auto& [mac, entry] : devices_) count += entry.record.probe_requests > 0 ? 1 : 0;
   return count;
 }
 
 void ObservationStore::clear() {
   devices_.clear();
+  spans_.clear();
   sightings_.clear();
 }
 
 void ObservationStore::restore_device(DeviceRecord record) {
-  const net80211::MacAddress mac = record.mac;
-  devices_[mac] = std::move(record);
+  auto [it, inserted] = devices_.try_emplace(record.mac);
+  Entry& entry = it->second;
+  if (inserted) {
+    entry.slot = static_cast<std::uint32_t>(spans_.size());
+    spans_.push_back({.mac = record.mac});
+  }
+  // The record replaces any earlier one, so its span is recomputed from the
+  // instants it retains.
+  ContactSpan& span = spans_[entry.slot];
+  span = {.mac = record.mac};
+  for (const auto& [ap, contact] : record.contacts) {
+    for (const sim::SimTime t : contact.times) span.widen(t);
+  }
+  entry.record = std::move(record);
 }
 
 void ObservationStore::restore_sighting(ApSighting sighting) {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -108,6 +109,16 @@ class ObservationStore {
   [[nodiscard]] std::vector<net80211::MacAddress> devices() const;
   [[nodiscard]] const DeviceRecord* device(const net80211::MacAddress& mac) const;
 
+  /// Ascending MACs of the devices whose recorded contact instants span an
+  /// interval that meets the window: every device whose Gamma in the window
+  /// is non-empty, plus possibly a few whose contacts straddle it. One
+  /// sequential scan of a dense per-device span array, then a sort of the
+  /// hits only, so a windowed query over a long capture costs the window's
+  /// crowd, not every pseudonym the store has ever seen. Devices that never
+  /// had a contact are never listed.
+  [[nodiscard]] std::vector<net80211::MacAddress> contact_devices(
+      const ObservationWindow& window = {}) const;
+
   /// Gamma: APs observed communicating with the device inside the window.
   [[nodiscard]] std::set<net80211::MacAddress> gamma(
       const net80211::MacAddress& device, const ObservationWindow& window = {}) const;
@@ -126,7 +137,8 @@ class ObservationStore {
   void gamma_append(const net80211::MacAddress& device, const ObservationWindow& window,
                     std::vector<net80211::MacAddress>& out) const;
 
-  /// Gamma sets of all devices (input to AP-Rad's co-observation constraints).
+  /// Gamma sets of all devices with contacts in the window (input to
+  /// AP-Rad's co-observation constraints).
   [[nodiscard]] std::vector<std::set<net80211::MacAddress>> all_gammas(
       const ObservationWindow& window = {}) const;
 
@@ -155,10 +167,33 @@ class ObservationStore {
   void restore_sighting(ApSighting sighting);
 
  private:
+  /// A device's record and the index of its slot in spans_. The slot sits
+  /// first, on the cache line the key lookup has already loaded.
+  struct Entry {
+    std::uint32_t slot = 0;
+    DeviceRecord record;
+  };
+  /// Min and max of every contact instant recorded for one device (empty,
+  /// lo > hi, until its first contact). Slots are appended when a device is
+  /// first seen and never move: devices are never erased, and clear()
+  /// empties the whole index.
+  struct ContactSpan {
+    net80211::MacAddress mac;
+    sim::SimTime lo = std::numeric_limits<sim::SimTime>::infinity();
+    sim::SimTime hi = -std::numeric_limits<sim::SimTime>::infinity();
+
+    void widen(sim::SimTime t) noexcept {
+      if (t < lo) lo = t;
+      if (t > hi) hi = t;
+    }
+  };
+
+  Entry& touch_device(const net80211::MacAddress& mac, sim::SimTime time);
   void cap_contact_history(ApContact& contact) const;
 
   ObservationStoreOptions options_;
-  std::unordered_map<net80211::MacAddress, DeviceRecord, net80211::MacHasher> devices_;
+  std::unordered_map<net80211::MacAddress, Entry, net80211::MacHasher> devices_;
+  std::vector<ContactSpan> spans_;
   std::map<net80211::MacAddress, ApSighting> sightings_;
 };
 

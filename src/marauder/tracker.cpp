@@ -324,11 +324,13 @@ std::map<net80211::MacAddress, LocalizationResult> Tracker::locate_all(
   }
 
   // The baselines: one locate() per device, fanned out over the sorted
-  // device list, slotted by index, then folded into the map in MAC order —
-  // the exact sequence the serial loop produces. Chunks are coarse
-  // (balanced_chunk): each dispatch must amortize over a batch of devices.
+  // list of devices with contacts in the window, slotted by index, then
+  // folded into the map in MAC order — the exact sequence the serial loop
+  // produces. A device outside the window has an empty Gamma, so it would
+  // fail and never enter the map. Chunks are coarse (balanced_chunk): each
+  // dispatch must amortize over a batch of devices.
   const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<net80211::MacAddress> devices = store.devices();
+  const std::vector<net80211::MacAddress> devices = store.contact_devices(window);
   std::vector<LocalizationResult> per_device(devices.size());
   util::parallel_map_into(
       util::ThreadPool::shared(), options_.threads, per_device,
@@ -358,7 +360,9 @@ std::map<net80211::MacAddress, LocalizationResult> Tracker::locate_all_grouped(
     const capture::ObservationStore& store, const capture::ObservationWindow& window,
     LocateAllProfile* profile) const {
   const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<net80211::MacAddress> devices = store.devices();
+  // Only devices with contacts in the window are planned: any other device
+  // has an empty Gamma, so its result would fail and never enter the map.
+  const std::vector<net80211::MacAddress> devices = store.contact_devices(window);
   const std::size_t n = devices.size();
   const DiscPlanner planner(*this);
   util::ThreadPool& pool = util::ThreadPool::shared();

@@ -50,9 +50,13 @@ struct GammaCacheStats {
 /// Per-stage wall-clock breakdown of one locate_all() call (filled when the
 /// caller passes a profile pointer; used by bench_offline_throughput).
 struct LocateAllProfile {
-  double plan_s = 0.0;    ///< Gamma gather + slab key build + duplicate grouping
+  /// Device selection (ObservationStore::contact_devices) + Gamma gather +
+  /// slab key build + duplicate grouping
+  double plan_s = 0.0;
   double locate_s = 0.0;  ///< parallel localization of unique disc sets
   double merge_s = 0.0;   ///< fan-out to devices + ordered map fold
+  /// Planned devices: those with a contact in the window, not every device
+  /// the store holds.
   std::size_t devices = 0;
   std::size_t unique_gammas = 0;    ///< disc sets actually localized
   std::size_t outlier_devices = 0;  ///< results that rejected >= 1 disc
@@ -86,7 +90,9 @@ class Tracker {
                                           const capture::ObservationWindow& window = {}) const;
 
   /// Locates every monitored device: the result map equals one locate() per
-  /// device, bit for bit, at any thread count. M-Loc / AP-Rad batches run
+  /// device, bit for bit, at any thread count. Only the devices with a
+  /// contact in the window (ObservationStore::contact_devices) are planned;
+  /// any other device's result would fail. M-Loc / AP-Rad batches run
   /// plan -> group duplicate disc sets -> locate each unique set once ->
   /// fan out; the baselines run one locate() per device. `profile`, when
   /// non-null, receives the per-stage timing breakdown.

@@ -1,5 +1,6 @@
 #include "net/wire_codec.h"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <stdexcept>
@@ -31,7 +32,10 @@ void append_wire_frame(const WireFrame& frame, std::vector<std::uint8_t>& out) {
     throw std::invalid_argument("append_wire_frame: payload exceeds wire bound");
   }
   const std::size_t start = out.size();
-  out.reserve(start + kWireHeaderBytes + frame.payload.size());
+  // Grow geometrically: reserve() allocates exactly what it is asked for, so
+  // reserving just this frame would copy the whole buffer on every append.
+  const std::size_t need = start + kWireHeaderBytes + frame.payload.size();
+  if (need > out.capacity()) out.reserve(std::max(need, 2 * out.capacity()));
   out.push_back(kWireMagic0);
   out.push_back(kWireMagic1);
   out.push_back(kWireVersion);

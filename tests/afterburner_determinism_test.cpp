@@ -6,6 +6,7 @@
 // algorithm. Run under TSan in CI alongside the pool contract tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <map>
@@ -21,6 +22,7 @@
 #include "sim/mobile.h"
 #include "sim/mobility.h"
 #include "sim/scenario.h"
+#include "util/rng.h"
 
 namespace mm {
 namespace {
@@ -255,6 +257,154 @@ TEST(SlipstreamDeterminism, LocateAllEqualsPerDeviceLocateForEveryAlgorithm) {
       }
     }
   }
+}
+
+/// A store spread over six 100 s windows: 8 crowds of 5 devices that share
+/// a Gamma inside one window, 30 walkers that hear a different AP
+/// neighbourhood in each of two windows (a quarter of them in the first and
+/// last, so their contact spans straddle every window between), and 5
+/// devices that only probe. Any one window holds a minority of the devices.
+capture::ObservationStore make_windowed_store(const std::vector<sim::ApTruth>& truth) {
+  util::Rng rng(4242);
+  // An AP and its three nearest neighbours: discs that usually intersect.
+  auto neighbourhood = [&](std::size_t anchor) {
+    std::vector<std::pair<double, std::size_t>> by_distance;
+    for (std::size_t i = 0; i < truth.size(); ++i) {
+      by_distance.emplace_back(truth[anchor].position.distance_to(truth[i].position), i);
+    }
+    std::sort(by_distance.begin(), by_distance.end());
+    std::vector<net80211::MacAddress> aps;
+    for (std::size_t k = 0; k < 4; ++k) aps.push_back(truth[by_distance[k].second].bssid);
+    return aps;
+  };
+  capture::ObservationStore store;
+  auto hear = [&](const net80211::MacAddress& device,
+                  const std::vector<net80211::MacAddress>& aps, std::size_t window) {
+    for (const auto& ap : aps) {
+      const double t = 100.0 * static_cast<double>(window) + 99.0 * rng.uniform();
+      store.record_contact(ap, device, t, -50.0 - 30.0 * rng.uniform());
+    }
+  };
+  std::uint64_t next_mac = 0x0016f0003000ULL;
+  for (std::size_t crowd = 0; crowd < 8; ++crowd) {
+    const auto aps = neighbourhood(rng.next_u64() % truth.size());
+    for (std::size_t m = 0; m < 5; ++m) {
+      hear(net80211::MacAddress::from_u64(next_mac++), aps, crowd % 6);
+    }
+  }
+  for (std::size_t walker = 0; walker < 30; ++walker) {
+    const auto mac = net80211::MacAddress::from_u64(next_mac++);
+    const std::size_t first = walker % 4 == 0 ? 0 : rng.next_u64() % 6;
+    const std::size_t second = walker % 4 == 0 ? 5 : rng.next_u64() % 6;
+    hear(mac, neighbourhood(rng.next_u64() % truth.size()), first);
+    hear(mac, neighbourhood(rng.next_u64() % truth.size()), second);
+  }
+  for (std::size_t p = 0; p < 5; ++p) {
+    store.record_probe_request(net80211::MacAddress::from_u64(next_mac++),
+                               100.0 * static_cast<double>(p), std::nullopt);
+  }
+  return store;
+}
+
+TEST(SlipstreamDeterminism, WindowedLocateAllEqualsOracle) {
+  // locate_all plans only the devices with contacts in the window; the
+  // oracle walks every device the store holds. Both must give the same map
+  // for every algorithm, window and thread count.
+  struct Case {
+    const char* name;
+    marauder::Algorithm algorithm;
+    bool prepare;
+  };
+  const Case cases[] = {
+      {"M-Loc", marauder::Algorithm::kMLoc, false},
+      {"AP-Rad prepared", marauder::Algorithm::kApRad, true},
+      {"AP-Rad unprepared", marauder::Algorithm::kApRad, false},
+      {"Centroid", marauder::Algorithm::kCentroid, false},
+      {"NearestAp", marauder::Algorithm::kNearestAp, false},
+      {"WeightedCentroid", marauder::Algorithm::kWeightedCentroid, false},
+  };
+  sim::CampusConfig campus;
+  campus.seed = 77;
+  campus.num_aps = 60;
+  campus.half_extent_m = 250.0;
+  const auto truth = sim::generate_campus_aps(campus);
+  const capture::ObservationStore store = make_windowed_store(truth);
+
+  std::vector<capture::ObservationWindow> windows;
+  for (std::size_t w = 0; w < 6; ++w) {
+    const double begin = 100.0 * static_cast<double>(w);
+    windows.push_back({begin, begin + 99.0});
+    ASSERT_LT(2 * store.contact_devices(windows.back()).size(), store.device_count());
+  }
+  for (const Case& k : cases) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+      marauder::TrackerOptions options;
+      options.algorithm = k.algorithm;
+      options.threads = threads;
+      marauder::Tracker tracker(marauder::ApDatabase::from_truth(truth, true), options);
+      if (k.prepare) tracker.prepare(store);
+      for (std::size_t w = 0; w < windows.size(); ++w) {
+        SCOPED_TRACE(std::string(k.name) + " threads=" + std::to_string(threads) +
+                     " window=" + std::to_string(w));
+        const ResultMap batch = tracker.locate_all(store, windows[w]);
+        ASSERT_FALSE(batch.empty());
+        expect_same_results(oracle::locate_each(tracker, store, windows[w]), batch);
+      }
+    }
+  }
+}
+
+TEST(SlipstreamDeterminism, WindowedProfileCountsPlannedDevicesOnly) {
+  // Two windows. Window 1: a crowd of 4 sharing Gamma G1 plus two devices
+  // with their own Gammas. Window 2: 3 devices sharing G4 and one hearing
+  // G1. Two devices only probe. Devices outside a window are not planned,
+  // so they count neither as devices nor as duplicates nor as memo hits.
+  sim::CampusConfig campus;
+  campus.seed = 55;
+  campus.num_aps = 40;
+  const auto truth = sim::generate_campus_aps(campus);
+  auto gamma_of = [&](std::size_t base) {
+    return std::vector<net80211::MacAddress>{truth[base].bssid, truth[base + 1].bssid,
+                                             truth[base + 2].bssid};
+  };
+  capture::ObservationStore store;
+  std::uint64_t next_mac = 0x0016f0004000ULL;
+  auto add = [&](std::size_t base, double t) {
+    const auto mac = net80211::MacAddress::from_u64(next_mac++);
+    for (const auto& ap : gamma_of(base)) store.record_contact(ap, mac, t, -55.0);
+  };
+  for (int i = 0; i < 4; ++i) add(0, 5.0);
+  add(3, 6.0);
+  add(6, 7.0);
+  for (int i = 0; i < 3; ++i) add(9, 105.0);
+  add(0, 106.0);
+  store.record_probe_request(net80211::MacAddress::from_u64(next_mac++), 5.0, std::nullopt);
+  store.record_probe_request(net80211::MacAddress::from_u64(next_mac++), 105.0, std::nullopt);
+
+  marauder::TrackerOptions options;
+  options.algorithm = marauder::Algorithm::kMLoc;
+  marauder::Tracker tracker(marauder::ApDatabase::from_truth(truth, true), options);
+  const capture::ObservationWindow first{0.0, 10.0};
+  const capture::ObservationWindow second{100.0, 110.0};
+
+  marauder::LocateAllProfile profile;
+  const ResultMap a = tracker.locate_all(store, first, &profile);
+  EXPECT_EQ(profile.devices, 6u);
+  EXPECT_EQ(profile.unique_gammas, 3u);
+  EXPECT_EQ(profile.duplicate_ratio, 0.5);
+  EXPECT_TRUE(profile.cache_engaged);
+  EXPECT_EQ(tracker.gamma_cache_stats().misses, 3u);  // G1, G2, G3
+  EXPECT_EQ(tracker.gamma_cache_stats().hits, 3u);    // the crowd's other three
+  expect_same_results(oracle::locate_each(tracker, store, first), a);
+
+  const ResultMap b = tracker.locate_all(store, second, &profile);
+  EXPECT_EQ(profile.devices, 4u);
+  EXPECT_EQ(profile.unique_gammas, 2u);
+  EXPECT_EQ(profile.duplicate_ratio, 0.5);
+  EXPECT_TRUE(profile.cache_engaged);
+  EXPECT_EQ(tracker.gamma_cache_stats().misses, 4u);  // + G4
+  EXPECT_EQ(tracker.gamma_cache_stats().hits, 6u);    // + G4's two, + G1 from the memo
+  expect_same_results(oracle::locate_each(tracker, store, second), b);
 }
 
 TEST(SlipstreamCacheGate, MemoDisengagesOnLowDuplication) {

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <utility>
+#include <vector>
+
+#include "capture/persistence.h"
+#include "util/rng.h"
+
 namespace mm::capture {
 namespace {
 
@@ -202,6 +210,160 @@ TEST(ObservationStore, UnboundedHistoryOptOutKeepsEveryInstant) {
   const ApContact& contact = store.device(kDevA)->contacts.at(kAp1);
   EXPECT_EQ(contact.times.size(), 100u);
   EXPECT_EQ(contact.count, 100u);
+}
+
+// --- contact_devices: the per-device contact-span index -------------------
+
+/// A store of `devices` devices whose contact instants are drawn in [0, 1000]
+/// and recorded out of time order; every fifth device only ever probes.
+ObservationStore random_store(std::uint64_t seed, std::size_t devices,
+                              ObservationStoreOptions options = {}) {
+  util::Rng rng(seed);
+  ObservationStore store(options);
+  for (std::size_t d = 0; d < devices; ++d) {
+    const auto mac = net80211::MacAddress::from_u64(0x0016f0000000ULL + seed * 1000 + d);
+    if (d % 5 == 4) {
+      store.record_probe_request(mac, 1000.0 * rng.uniform(), std::nullopt);
+      continue;
+    }
+    const std::size_t contacts = 1 + rng.next_u64() % 30;
+    for (std::size_t k = 0; k < contacts; ++k) {
+      const auto ap = net80211::MacAddress::from_u64(0x001a2b000000ULL + rng.next_u64() % 6);
+      store.record_contact(ap, mac, 1000.0 * rng.uniform(), -60.0);
+    }
+  }
+  return store;
+}
+
+/// The contract of contact_devices(window) on random windows (and the default
+/// one): ascending, drawn from devices(), never a device without contacts,
+/// and a superset of the devices whose Gamma in the window is non-empty.
+/// Returns how many (window, device) pairs the query excluded, so callers
+/// can require that the windows actually cut.
+std::size_t expect_contact_index_covers_gammas(const ObservationStore& store,
+                                               std::uint64_t seed) {
+  util::Rng rng(seed);
+  const std::vector<net80211::MacAddress> all = store.devices();
+  std::vector<ObservationWindow> windows{ObservationWindow{}};
+  for (int i = 0; i < 60; ++i) {
+    const double begin = -50.0 + 1100.0 * rng.uniform();
+    windows.push_back({begin, begin + 300.0 * rng.uniform()});
+  }
+  // Point windows on exact recorded instants: both bounds are inclusive.
+  for (const auto& mac : all) {
+    for (const auto& [ap, contact] : store.device(mac)->contacts) {
+      if (!contact.times.empty()) {
+        windows.push_back({contact.times.front(), contact.times.front()});
+        windows.push_back({contact.times.back(), contact.times.back()});
+      }
+    }
+  }
+
+  std::size_t excluded = 0;
+  for (const ObservationWindow& window : windows) {
+    const std::vector<net80211::MacAddress> got = store.contact_devices(window);
+    EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
+    EXPECT_EQ(std::adjacent_find(got.begin(), got.end()), got.end());
+    EXPECT_TRUE(std::includes(all.begin(), all.end(), got.begin(), got.end()));
+    std::vector<net80211::MacAddress> nonempty;
+    for (const auto& mac : all) {
+      if (!store.gamma_sorted(mac, window).empty()) nonempty.push_back(mac);
+    }
+    EXPECT_TRUE(std::includes(got.begin(), got.end(), nonempty.begin(), nonempty.end()))
+        << "window [" << window.begin << ", " << window.end << "]";
+    for (const auto& mac : got) EXPECT_FALSE(store.device(mac)->contacts.empty());
+    excluded += all.size() - got.size();
+  }
+  return excluded;
+}
+
+TEST(ObservationStoreContactIndex, OutOfOrderContactsCoverEveryWindowGamma) {
+  const ObservationStore store = random_store(11, 80);
+  EXPECT_GT(expect_contact_index_covers_gammas(store, 1), 0u);
+  // The default window lists exactly the devices that ever had a contact.
+  std::vector<net80211::MacAddress> with_contacts;
+  for (const auto& mac : store.devices()) {
+    if (!store.device(mac)->contacts.empty()) with_contacts.push_back(mac);
+  }
+  EXPECT_EQ(store.contact_devices(), with_contacts);
+}
+
+TEST(ObservationStoreContactIndex, ProbeOnlyDevicesAreNeverListed) {
+  ObservationStore store;
+  store.record_probe_request(kDevA, 5.0, std::string("HomeNet"));
+  store.record_presence(kDevB, 6.0);
+  EXPECT_EQ(store.device_count(), 2u);
+  EXPECT_TRUE(store.contact_devices().empty());
+  EXPECT_TRUE(store.contact_devices({5.0, 6.0}).empty());
+  store.record_contact(kAp1, kDevB, 7.0, -50.0);
+  EXPECT_EQ(store.contact_devices(), std::vector<net80211::MacAddress>{kDevB});
+  EXPECT_TRUE(store.contact_devices({0.0, 6.5}).empty());
+}
+
+TEST(ObservationStoreContactIndex, CompactedHistoryStaysCovered) {
+  ObservationStoreOptions options;
+  options.contact_history_cap = 8;
+  const ObservationStore store = random_store(12, 80, options);
+  EXPECT_GT(expect_contact_index_covers_gammas(store, 2), 0u);
+}
+
+TEST(ObservationStoreContactIndex, PersistenceRoundTripRebuildsSpans) {
+  ObservationStoreOptions options;
+  options.contact_history_cap = 8;
+  const ObservationStore original = random_store(13, 60, options);
+  const auto path = std::filesystem::temp_directory_path() / "mm_obs_contact_index.csv";
+  SaveOptions save;
+  save.fsync = false;
+  ASSERT_TRUE(save_observations(original, path, save).ok());
+  auto loaded = load_observations(path, options);
+  std::filesystem::remove(path);
+  ASSERT_TRUE(loaded.ok());
+  const ObservationStore& restored = loaded.value().store;
+  ASSERT_EQ(restored.device_count(), original.device_count());
+  EXPECT_GT(expect_contact_index_covers_gammas(restored, 3), 0u);
+}
+
+TEST(ObservationStoreContactIndex, RestoreReplacesASpan) {
+  ObservationStore store;
+  store.record_contact(kAp1, kDevA, 100.0, -50.0);
+  DeviceRecord record = *store.device(kDevA);
+  record.contacts.at(kAp1).times = {500.0};
+  store.restore_device(record);
+  EXPECT_TRUE(store.contact_devices({0.0, 200.0}).empty());
+  EXPECT_EQ(store.contact_devices({400.0, 600.0}), std::vector<net80211::MacAddress>{kDevA});
+}
+
+TEST(ObservationStoreContactIndex, ClearThenRefillForgetsOldSpans) {
+  ObservationStore store = random_store(14, 40);
+  const std::vector<net80211::MacAddress> before = store.contact_devices();
+  ASSERT_FALSE(before.empty());
+  store.clear();
+  EXPECT_TRUE(store.contact_devices().empty());
+  store.record_contact(kAp1, kDevA, 3.0, -50.0);
+  store.record_probe_request(kDevB, 4.0, std::nullopt);
+  EXPECT_EQ(store.contact_devices(), std::vector<net80211::MacAddress>{kDevA});
+  const ObservationStore refill = random_store(15, 40);
+  store = refill;
+  EXPECT_GT(expect_contact_index_covers_gammas(store, 4), 0u);
+}
+
+TEST(ObservationStoreContactIndex, CopiesAndMovesCarryTheIndex) {
+  const ObservationStore original = random_store(16, 50);
+  ObservationStore copy = original;
+  EXPECT_EQ(copy.contact_devices({100.0, 200.0}), original.contact_devices({100.0, 200.0}));
+  // A copy's later contacts widen only its own spans.
+  const auto fresh = net80211::MacAddress::from_u64(0x0016f00fffffULL);
+  copy.record_contact(kAp1, fresh, 5000.0, -50.0);
+  EXPECT_EQ(copy.contact_devices({4000.0, 6000.0}), std::vector<net80211::MacAddress>{fresh});
+  EXPECT_TRUE(original.contact_devices({4000.0, 6000.0}).empty());
+  EXPECT_GT(expect_contact_index_covers_gammas(copy, 5), 0u);
+
+  ObservationStore moved = std::move(copy);
+  EXPECT_EQ(moved.contact_devices({4000.0, 6000.0}), std::vector<net80211::MacAddress>{fresh});
+  EXPECT_GT(expect_contact_index_covers_gammas(moved, 6), 0u);
+  ObservationStore assigned;
+  assigned = std::move(moved);
+  EXPECT_GT(expect_contact_index_covers_gammas(assigned, 7), 0u);
 }
 
 }  // namespace

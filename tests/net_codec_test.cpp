@@ -5,6 +5,7 @@
 // deterministic under its plan + seed.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <span>
 #include <vector>
@@ -173,6 +174,33 @@ TEST(WireCodec, OversizePayloadThrowsAndBadLengthFieldIsRejected) {
   WireFrame out;
   EXPECT_FALSE(decoder.next(out));
   EXPECT_GE(decoder.stats().bad_length, 1u);
+}
+
+TEST(WireCodec, AppendingManyFramesGrowsTheBufferGeometrically) {
+  // One buffer collecting every frame of a stream must reallocate O(log N)
+  // times, not once per frame, and hold the same bytes as the frames
+  // encoded one by one.
+  constexpr std::size_t kFrames = 10000;
+  std::vector<std::uint8_t> wire;
+  std::vector<std::uint8_t> expected;
+  std::size_t capacity_changes = 0;
+  WireFrame frame;
+  frame.stream_id = 3;
+  frame.block_k = 8;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    frame.seq = i;
+    frame.payload.assign(40 + (i % 23), static_cast<std::uint8_t>(i));
+    const std::size_t before = wire.capacity();
+    append_wire_frame(frame, wire);
+    if (wire.capacity() != before) ++capacity_changes;
+
+    std::vector<std::uint8_t> one;
+    append_wire_frame(frame, one);
+    EXPECT_EQ(one.size(), kWireHeaderBytes + frame.payload.size());
+    expected.insert(expected.end(), one.begin(), one.end());
+  }
+  EXPECT_EQ(wire, expected);
+  EXPECT_LE(capacity_changes, 2 * static_cast<std::size_t>(std::log2(kFrames)));
 }
 
 TEST(Fec, ParityPayloadIsXorOfBlock) {
