@@ -24,6 +24,22 @@ std::int64_t cell_coord(double v, double cell) noexcept {
   return static_cast<std::int64_t>(scaled);
 }
 
+/// The self-sizing cell: ~1 point per cell over the points' bounding box,
+/// clamped to [1 m, 1 km]. A degenerate box (one point, coincident points)
+/// counts as 1 m^2. `points` must be non-empty.
+double density_cell(std::span<const Vec2> points) {
+  Vec2 lo = points.front();
+  Vec2 hi = lo;
+  for (const Vec2& p : points) {
+    lo.x = std::min(lo.x, p.x);
+    lo.y = std::min(lo.y, p.y);
+    hi.x = std::max(hi.x, p.x);
+    hi.y = std::max(hi.y, p.y);
+  }
+  const double area = std::max(1.0, (hi.x - lo.x) * (hi.y - lo.y));
+  return std::clamp(std::sqrt(area / static_cast<double>(points.size())), 1.0, 1000.0);
+}
+
 }  // namespace
 
 std::size_t SpatialIndex::CellHasher::operator()(const Cell& c) const noexcept {
@@ -31,35 +47,24 @@ std::size_t SpatialIndex::CellHasher::operator()(const Cell& c) const noexcept {
                                                      static_cast<std::uint64_t>(c.y)));
 }
 
-SpatialIndex::SpatialIndex(double cell_size_m) : cell_size_(cell_size_m) {
+SpatialIndex::SpatialIndex() : cell_size_(100.0), self_sizing_(true) {}
+
+SpatialIndex::SpatialIndex(double cell_size_m)
+    : cell_size_(cell_size_m), self_sizing_(false) {
   if (!(cell_size_m > 0.0) || !std::isfinite(cell_size_m)) {
     throw std::invalid_argument("SpatialIndex: cell size must be positive and finite");
   }
 }
 
-SpatialIndex SpatialIndex::build_from(std::span<const Vec2> points, double cell_size_m) {
-  double cell = cell_size_m;
-  if (!(cell > 0.0)) {
-    // ~1 point per cell over the bounding box; degenerate (empty, coincident)
-    // inputs fall back to a unit cell.
-    double lo_x = 0.0, lo_y = 0.0, hi_x = 0.0, hi_y = 0.0;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (i == 0) {
-        lo_x = hi_x = points[i].x;
-        lo_y = hi_y = points[i].y;
-      } else {
-        lo_x = std::min(lo_x, points[i].x);
-        hi_x = std::max(hi_x, points[i].x);
-        lo_y = std::min(lo_y, points[i].y);
-        hi_y = std::max(hi_y, points[i].y);
-      }
-    }
-    const double area = (hi_x - lo_x) * (hi_y - lo_y);
-    cell = points.empty() ? 1.0 : std::sqrt(area / static_cast<double>(points.size()));
-    if (!(cell > 1e-6) || !std::isfinite(cell)) cell = 1.0;
+SpatialIndex SpatialIndex::build_from(std::span<const Vec2> points) {
+  SpatialIndex index;
+  if (!points.empty()) index.cell_size_ = density_cell(points);
+  // Later inserts resume the doubling schedule above the bulk size.
+  while (index.next_resize_ <= points.size()) index.next_resize_ *= 2;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    index.points_.emplace(i, points[i]);
+    index.place(i, points[i]);
   }
-  SpatialIndex index(cell);
-  for (std::size_t i = 0; i < points.size(); ++i) index.insert(i, points[i]);
   return index;
 }
 
@@ -71,6 +76,20 @@ void SpatialIndex::insert(Id id, Vec2 p) {
   if (!points_.emplace(id, p).second) {
     throw std::invalid_argument("SpatialIndex::insert: duplicate id");
   }
+  place(id, p);
+  if (self_sizing_ && points_.size() >= next_resize_) {
+    // Checked at doubling sizes to amortize the rebuild; a cell within
+    // 0.5-2x of the current one is not worth the churn.
+    next_resize_ *= 2;
+    std::vector<Vec2> positions;
+    positions.reserve(points_.size());
+    for (const auto& [pid, pos] : points_) positions.push_back(pos);
+    const double cell = density_cell(positions);
+    if (!(cell > cell_size_ * 0.5 && cell < cell_size_ * 2.0)) rebuild(cell);
+  }
+}
+
+void SpatialIndex::place(Id id, Vec2 p) {
   const Cell c = cell_of(p);
   cells_[c].push_back({id, p});
   if (!has_bounds_) {
@@ -82,6 +101,13 @@ void SpatialIndex::insert(Id id, Vec2 p) {
     cell_hi_.x = std::max(cell_hi_.x, c.x);
     cell_hi_.y = std::max(cell_hi_.y, c.y);
   }
+}
+
+void SpatialIndex::rebuild(double cell_size_m) {
+  cell_size_ = cell_size_m;
+  cells_.clear();
+  has_bounds_ = false;
+  for (const auto& [id, p] : points_) place(id, p);
 }
 
 bool SpatialIndex::erase(Id id) {
@@ -104,6 +130,7 @@ void SpatialIndex::clear() {
   cells_.clear();
   points_.clear();
   has_bounds_ = false;
+  next_resize_ = kFirstResize;
 }
 
 std::vector<SpatialIndex::Id> SpatialIndex::query_disc(Vec2 center, double radius_m) const {

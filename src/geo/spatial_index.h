@@ -8,6 +8,12 @@
 // coordinates over the cell size; a disc or rect query visits only the
 // overlapping cells.
 //
+// Cell policy: the index owns its cell size. A default-constructed index
+// sizes itself for ~1 point per cell over its own points' bounding box,
+// re-deriving the cell at doubling sizes (see SpatialIndex()); build_from
+// applies the same formula once to the whole input. A fixed cell
+// (SpatialIndex(double)) is for callers whose cell is their query radius.
+//
 // Determinism contract (what lets indexed hot paths stay bit-identical to
 // their scan baselines):
 //   * every query's result is sorted by ascending id (nearest_k: by
@@ -35,14 +41,20 @@ class SpatialIndex {
  public:
   using Id = std::uint64_t;
 
-  /// `cell_size_m` must be positive and finite; it only affects performance,
-  /// never results. A good choice is near the typical query radius.
+  /// Self-sizing index. The cell starts at 100 m; whenever the size reaches
+  /// 32, 64, 128, ... the cell is re-derived from the points' bounding box as
+  /// clamp(sqrt(max(1, area) / n), 1, 1000) m, and the index rebuilds only
+  /// when that falls outside 0.5-2x of the current cell.
+  SpatialIndex();
+
+  /// Fixed cell: never resized. `cell_size_m` must be positive and finite; a
+  /// good choice is near the typical query radius.
   explicit SpatialIndex(double cell_size_m);
 
-  /// Bulk construction over points[0..n): ids are the span indices. A
-  /// non-positive cell size picks one from the bounding box (~1 point/cell).
-  [[nodiscard]] static SpatialIndex build_from(std::span<const Vec2> points,
-                                               double cell_size_m = 0.0);
+  /// Bulk construction over points[0..n): ids are the span indices. The cell
+  /// is the self-sizing formula applied once to all points (100 m when
+  /// empty); later inserts continue the self-sizing schedule.
+  [[nodiscard]] static SpatialIndex build_from(std::span<const Vec2> points);
 
   /// Inserting an id that is already present throws std::invalid_argument.
   void insert(Id id, Vec2 p);
@@ -52,7 +64,10 @@ class SpatialIndex {
   [[nodiscard]] std::size_t size() const noexcept { return points_.size(); }
   [[nodiscard]] bool empty() const noexcept { return points_.empty(); }
   [[nodiscard]] bool contains(Id id) const { return points_.count(id) != 0; }
+  /// Performance only: no query result depends on it.
   [[nodiscard]] double cell_size_m() const noexcept { return cell_size_; }
+  /// Drops every point; the cell is kept, and a self-sizing index restarts
+  /// its schedule at 32.
   void clear();
 
   /// Ids of points with p.distance_to(center) <= radius_m, ascending.
@@ -87,8 +102,16 @@ class SpatialIndex {
   };
 
   [[nodiscard]] Cell cell_of(Vec2 p) const noexcept;
+  /// Buckets an already-recorded point and widens the occupied-cell box.
+  void place(Id id, Vec2 p);
+  /// Re-buckets every point under a new cell size.
+  void rebuild(double cell_size_m);
+
+  static constexpr std::size_t kFirstResize = 32;
 
   double cell_size_;
+  bool self_sizing_;
+  std::size_t next_resize_ = kFirstResize;  ///< size of the next density check
   std::unordered_map<Cell, std::vector<Entry>, CellHasher> cells_;
   std::unordered_map<Id, Vec2> points_;
   // Bounding box of occupied cells (never shrunk on erase — only used to

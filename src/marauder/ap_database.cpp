@@ -26,7 +26,6 @@ struct ApDatabase::Caches {
   std::vector<double> slab_y;
   std::vector<double> slab_r;  ///< NaN = unknown radius
   std::unordered_map<net80211::MacAddress, std::uint32_t, net80211::MacHasher> rank;
-  bool grid_valid = false;
   std::optional<geo::SpatialIndex> grid;
 };
 
@@ -73,7 +72,6 @@ void ApDatabase::invalidate_caches() {
   c.slab_y.clear();
   c.slab_r.clear();
   c.rank.clear();
-  c.grid_valid = false;
   c.grid.reset();
 }
 
@@ -144,42 +142,25 @@ const ApDatabase::RankMap& ApDatabase::rank_index() const {
   return c.rank;
 }
 
-namespace {
-
-/// Cell sized for ~1 record per cell over the sorted records' bounding box
-/// (clamped to [1 m, 1 km]); an empty or single-point database gets 100 m.
-double pick_cell_m(const std::vector<const KnownAp*>& records) {
-  if (records.size() < 2) return 100.0;
-  geo::Vec2 lo = records.front()->position;
-  geo::Vec2 hi = lo;
-  for (const KnownAp* ap : records) {
-    lo.x = std::min(lo.x, ap->position.x);
-    lo.y = std::min(lo.y, ap->position.y);
-    hi.x = std::max(hi.x, ap->position.x);
-    hi.y = std::max(hi.y, ap->position.y);
+const geo::SpatialIndex& ApDatabase::spatial_grid() const {
+  Caches& c = caches();
+  std::lock_guard<std::mutex> lock(c.mutex);
+  build_sorted_locked(c);
+  if (!c.grid) {
+    std::vector<geo::Vec2> positions;
+    positions.reserve(c.sorted.size());
+    for (const KnownAp* ap : c.sorted) positions.push_back(ap->position);
+    c.grid.emplace(geo::SpatialIndex::build_from(positions));
   }
-  const double area = std::max(1.0, (hi.x - lo.x) * (hi.y - lo.y));
-  const double cell = std::sqrt(area / static_cast<double>(records.size()));
-  return std::clamp(cell, 1.0, 1000.0);
+  return *c.grid;
 }
-
-}  // namespace
 
 std::vector<const KnownAp*> ApDatabase::aps_in_range(geo::Vec2 center,
                                                      double radius_m) const {
   const std::vector<const KnownAp*>& sorted = sorted_records();
-  Caches& c = caches();
-  {
-    std::lock_guard<std::mutex> lock(c.mutex);
-    if (!c.grid_valid) {
-      geo::SpatialIndex grid(pick_cell_m(sorted));
-      for (std::size_t i = 0; i < sorted.size(); ++i) grid.insert(i, sorted[i]->position);
-      c.grid.emplace(std::move(grid));
-      c.grid_valid = true;
-    }
-  }
+  const geo::SpatialIndex& grid = spatial_grid();
   std::vector<const KnownAp*> out;
-  for (const geo::SpatialIndex::Id id : c.grid->query_disc(center, radius_m)) {
+  for (const geo::SpatialIndex::Id id : grid.query_disc(center, radius_m)) {
     out.push_back(sorted[id]);
   }
   return out;
@@ -188,20 +169,11 @@ std::vector<const KnownAp*> ApDatabase::aps_in_range(geo::Vec2 center,
 std::vector<const KnownAp*> ApDatabase::nearest_aps(geo::Vec2 center,
                                                     std::size_t k) const {
   const std::vector<const KnownAp*>& sorted = sorted_records();
-  Caches& c = caches();
-  {
-    std::lock_guard<std::mutex> lock(c.mutex);
-    if (!c.grid_valid) {
-      geo::SpatialIndex grid(pick_cell_m(sorted));
-      for (std::size_t i = 0; i < sorted.size(); ++i) grid.insert(i, sorted[i]->position);
-      c.grid.emplace(std::move(grid));
-      c.grid_valid = true;
-    }
-  }
+  const geo::SpatialIndex& grid = spatial_grid();
   // nearest_k breaks distance ties by ascending id = ascending BSSID, so the
   // documented (distance, BSSID) order falls out directly.
   std::vector<const KnownAp*> out;
-  for (const geo::SpatialIndex::Id id : c.grid->nearest_k(center, k)) {
+  for (const geo::SpatialIndex::Id id : grid.nearest_k(center, k)) {
     out.push_back(sorted[id]);
   }
   return out;

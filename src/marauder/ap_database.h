@@ -157,6 +157,8 @@ class ApDatabase {
   void invalidate_caches();
   /// Builds the sorted view + SoA slab + rank index; caller holds c.mutex.
   void build_sorted_locked(Caches& c) const;
+  /// Atlas grid over sorted_records() positions (id = rank), built on first use.
+  [[nodiscard]] const geo::SpatialIndex& spatial_grid() const;
 
   std::unordered_map<net80211::MacAddress, KnownAp, net80211::MacHasher> aps_;
   mutable std::unique_ptr<Caches> caches_;

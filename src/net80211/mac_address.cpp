@@ -66,10 +66,4 @@ std::string MacAddress::to_string() const {
   return out;
 }
 
-std::uint64_t MacAddress::to_u64() const noexcept {
-  std::uint64_t v = 0;
-  for (const std::uint8_t b : bytes_) v = (v << 8) | b;
-  return v;
-}
-
 }  // namespace mm::net80211

@@ -47,7 +47,11 @@ class MacAddress {
     return (bytes_[0] & 0x02) != 0;
   }
   /// Packs the six bytes into the low 48 bits (for hashing / map keys).
-  [[nodiscard]] std::uint64_t to_u64() const noexcept;
+  [[nodiscard]] constexpr std::uint64_t to_u64() const noexcept {
+    std::uint64_t v = 0;
+    for (const std::uint8_t b : bytes_) v = (v << 8) | b;
+    return v;
+  }
   /// Inverse of to_u64 (bits above 48 are ignored).
   [[nodiscard]] static constexpr MacAddress from_u64(std::uint64_t v) noexcept {
     std::array<std::uint8_t, 6> bytes{};

@@ -1,7 +1,6 @@
 #include "pipeline/incremental_mloc.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace mm::pipeline {
 
@@ -29,7 +28,6 @@ bool IncrementalDeviceLocator::add(const net80211::MacAddress& ap,
   for (std::size_t& slot : slot_of_id_) slot += slot >= pos ? 1 : 0;
   center_grid_.insert(slot_of_id_.size(), disc.center);
   slot_of_id_.push_back(pos);
-  maybe_resize_grid();
   max_radius_ = std::max(max_radius_, disc.radius);
   result_valid_ = false;
 
@@ -97,35 +95,6 @@ bool IncrementalDeviceLocator::add(const net80211::MacAddress& ap,
   }
   region_ = std::move(extended);
   return true;
-}
-
-void IncrementalDeviceLocator::maybe_resize_grid() {
-  // Density-adapted cell (the ApDatabase::pick_cell_m formula): a device
-  // whose Gamma spreads across a campus should not pack every center into
-  // one 100 m bucket, and a dense courtyard should not scatter them one per
-  // cell. Cell size only affects which candidates the grid hands back for
-  // the exact predicates to re-check, never the verdict (Atlas contract).
-  if (slot_of_id_.size() < next_grid_rebuild_) return;
-  next_grid_rebuild_ *= 2;
-  geo::Vec2 lo = discs_.front().center;
-  geo::Vec2 hi = lo;
-  for (const geo::Circle& d : discs_) {
-    lo.x = std::min(lo.x, d.center.x);
-    lo.y = std::min(lo.y, d.center.y);
-    hi.x = std::max(hi.x, d.center.x);
-    hi.y = std::max(hi.y, d.center.y);
-  }
-  const double area = std::max(1.0, (hi.x - lo.x) * (hi.y - lo.y));
-  const double cell =
-      std::clamp(std::sqrt(area / static_cast<double>(discs_.size())), 1.0, 1000.0);
-  if (cell > center_grid_.cell_size_m() * 0.5 && cell < center_grid_.cell_size_m() * 2.0) {
-    return;  // not a material change; skip the churn
-  }
-  geo::SpatialIndex rebuilt(cell);
-  for (std::size_t id = 0; id < slot_of_id_.size(); ++id) {
-    rebuilt.insert(id, discs_[slot_of_id_[id]].center);
-  }
-  center_grid_ = std::move(rebuilt);
 }
 
 void IncrementalDeviceLocator::rebuild_kept() {

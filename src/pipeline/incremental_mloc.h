@@ -56,7 +56,6 @@ class IncrementalDeviceLocator {
  private:
   void ensure_region(IncrementalStats& stats);
   void rebuild_kept();
-  void maybe_resize_grid();
 
   std::vector<net80211::MacAddress> aps_;  ///< ascending (mirrors std::set Gamma order)
   std::vector<geo::Circle> discs_;         ///< aligned with aps_
@@ -64,11 +63,9 @@ class IncrementalDeviceLocator {
   /// Atlas grid over the disc centers (id = arrival order), used by add()'s
   /// no-op proof: only discs within r_new + r_max of the newcomer can prune,
   /// be pruned by, or fail to intersect it, so the per-arrival check touches
-  /// a neighbourhood instead of rescanning all O(k^2) pairs. The cell starts
-  /// at 100 m and adapts to disc-center density (the ApDatabase::pick_cell_m
-  /// formula) at doubling counts — performance-only per the Atlas contract.
-  geo::SpatialIndex center_grid_{100.0};
-  std::size_t next_grid_rebuild_ = 32;   ///< disc count of the next resize check
+  /// a neighbourhood instead of rescanning all O(k^2) pairs. Self-sizing:
+  /// the index adapts its cell to disc-center density.
+  geo::SpatialIndex center_grid_;
   std::vector<std::size_t> slot_of_id_;  ///< grid id -> current index in discs_
   double max_radius_ = 0.0;              ///< running max over all added discs
   /// Cached intersection of discs_; nullopt = dirty (recomputed at locate()).

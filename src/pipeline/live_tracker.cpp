@@ -584,8 +584,7 @@ bool LiveTracker::shard_degraded(std::size_t shard) const noexcept {
   return shards_[shard]->degraded.load(std::memory_order_acquire);
 }
 
-std::optional<LivePosition> LiveTracker::locate(const net80211::MacAddress& mac) {
-  const auto t0 = std::chrono::steady_clock::now();
+std::optional<LivePosition> LiveTracker::locate(const net80211::MacAddress& mac) const {
   std::optional<LivePosition> out;
   if (const SeqlockSlot* slot = directory_.find(mac)) {
     LivePosition position;
@@ -593,13 +592,6 @@ std::optional<LivePosition> LiveTracker::locate(const net80211::MacAddress& mac)
   }
   if (out.has_value()) {
     out->shard_degraded = shard_degraded(shard_for(mac)) ? 1 : 0;
-  }
-  const double us =
-      std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - t0)
-          .count();
-  {
-    const std::lock_guard<std::mutex> lock(latency_mutex_);
-    locate_latency_us_.add(us);
   }
   return out;
 }
@@ -629,7 +621,7 @@ marauder::IdentityMap LiveTracker::resolve_identities(
 }
 
 std::optional<LivePosition> LiveTracker::locate_identity(
-    const marauder::ResolvedIdentity& identity) {
+    const marauder::ResolvedIdentity& identity) const {
   std::optional<LivePosition> best;
   for (const net80211::MacAddress& mac : identity.macs) {
     std::optional<LivePosition> position = locate(mac);
@@ -694,16 +686,6 @@ PipelineStats LiveTracker::stats() const {
       elapsed > 0.0 ? static_cast<double>(out.total_frames) / elapsed : 0.0;
   out.directory_size = directory_.size();
   out.directory_overflows = directory_overflows_.load(std::memory_order_relaxed);
-  {
-    const std::lock_guard<std::mutex> lock(latency_mutex_);
-    out.locate_count = locate_latency_us_.count();
-    if (!locate_latency_us_.empty()) {
-      out.locate_p50_us = locate_latency_us_.percentile(50.0);
-      out.locate_p95_us = locate_latency_us_.percentile(95.0);
-      out.locate_p99_us = locate_latency_us_.percentile(99.0);
-      out.locate_max_us = locate_latency_us_.max();
-    }
-  }
   return out;
 }
 

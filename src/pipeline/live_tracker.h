@@ -48,7 +48,6 @@
 #include "pipeline/incremental_mloc.h"
 #include "pipeline/pipeline_stats.h"
 #include "pipeline/seqlock.h"
-#include "util/stats.h"
 
 namespace mm::pipeline {
 
@@ -127,10 +126,9 @@ class LiveTracker {
   [[nodiscard]] std::size_t shard_for(const net80211::MacAddress& key) const noexcept;
 
   /// Latest published position of one device; nullopt when never located.
-  /// Wait-free against ingest (seqlock read); latency is sampled into the
-  /// stats surface. `shard_degraded` is stamped at read time from the owning
-  /// shard's circuit-breaker flag.
-  [[nodiscard]] std::optional<LivePosition> locate(const net80211::MacAddress& mac);
+  /// Wait-free against ingest (seqlock read). `shard_degraded` is stamped at
+  /// read time from the owning shard's circuit-breaker flag.
+  [[nodiscard]] std::optional<LivePosition> locate(const net80211::MacAddress& mac) const;
 
   /// All published positions, each entry torn-free (epoch-consistent per
   /// device; the set is whatever was claimed when the scan passed).
@@ -158,7 +156,7 @@ class LiveTracker {
   /// identity's alias MACs (seqlock reads; wait-free against ingest). This
   /// is what keeps the map pointing at a victim through pseudonym rotation.
   [[nodiscard]] std::optional<LivePosition> locate_identity(
-      const marauder::ResolvedIdentity& identity);
+      const marauder::ResolvedIdentity& identity) const;
 
   [[nodiscard]] PipelineStats stats() const;
 
@@ -217,8 +215,6 @@ class LiveTracker {
   double elapsed_s_ = 0.0;  ///< frozen at stop()
 
   std::atomic<std::uint64_t> directory_overflows_{0};
-  mutable std::mutex latency_mutex_;
-  util::SampleSet locate_latency_us_;
 };
 
 }  // namespace mm::pipeline

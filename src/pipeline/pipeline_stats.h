@@ -77,13 +77,6 @@ struct PipelineStats {
   std::uint64_t total_restarts = 0;
   std::uint64_t degraded_shards = 0;
   RecoveryStats recovery{};  ///< zeroed when recover() never ran
-
-  // locate() latency over the engine's lifetime, microseconds.
-  std::uint64_t locate_count = 0;
-  double locate_p50_us = 0.0;
-  double locate_p95_us = 0.0;
-  double locate_p99_us = 0.0;
-  double locate_max_us = 0.0;
 };
 
 }  // namespace mm::pipeline

@@ -1,7 +1,6 @@
 #include "sim/world.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "sim/ap.h"
 #include "sim/mobile.h"
@@ -11,9 +10,7 @@ namespace mm::sim {
 World::World(Config config)
     : rng_(config.seed),
       propagation_(std::move(config.propagation)),
-      config_(config),
-      grid_(config.delivery_cell_m > 0.0 ? config.delivery_cell_m : 64.0),
-      adaptive_cell_(!(config.delivery_cell_m > 0.0)) {
+      config_(config) {
   if (!propagation_) propagation_ = std::make_shared<rf::FreeSpaceModel>();
 }
 
@@ -50,49 +47,11 @@ void World::register_receiver(FrameReceiver* receiver) {
   if (interest.fixed_position && interest.max_distance_m) {
     grid_.insert(slot, *interest.fixed_position);
     max_interest_radius_ = std::max(max_interest_radius_, *interest.max_distance_m);
-    if (adaptive_cell_) maybe_resize_grid();
   } else if (interest.fixed_position && interest.min_rssi_dbm) {
     floor_slots_.push_back(slot);
   } else {
     always_slots_.push_back(slot);
   }
-}
-
-void World::maybe_resize_grid() {
-  // Density-derived cell, ApDatabase::pick_cell_m style: ~1 receiver per
-  // cell over the registered positions' bounding box. Cell size is a
-  // performance-only knob (the Atlas contract), so resizing mid-run can
-  // never change which frames are delivered — only how fast we decide.
-  // Checked at doubling registration counts to amortize the rebuild.
-  if (grid_.size() < next_grid_rebuild_) return;
-  next_grid_rebuild_ *= 2;
-  std::vector<std::pair<std::size_t, geo::Vec2>> entries;
-  entries.reserve(grid_.size());
-  geo::Vec2 lo{0.0, 0.0};
-  geo::Vec2 hi{0.0, 0.0};
-  for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
-    const ReceiverSlot& s = slots_[slot];
-    if (!s.active || !s.interest.fixed_position || !s.interest.max_distance_m) continue;
-    const geo::Vec2 p = *s.interest.fixed_position;
-    if (entries.empty()) {
-      lo = hi = p;
-    } else {
-      lo.x = std::min(lo.x, p.x);
-      lo.y = std::min(lo.y, p.y);
-      hi.x = std::max(hi.x, p.x);
-      hi.y = std::max(hi.y, p.y);
-    }
-    entries.emplace_back(slot, p);
-  }
-  if (entries.size() < 2) return;
-  const double area = std::max(1.0, (hi.x - lo.x) * (hi.y - lo.y));
-  const double cell =
-      std::clamp(std::sqrt(area / static_cast<double>(entries.size())), 1.0, 1000.0);
-  // Rebuild only on a material change; small drifts aren't worth the churn.
-  if (cell > grid_.cell_size_m() * 0.5 && cell < grid_.cell_size_m() * 2.0) return;
-  geo::SpatialIndex rebuilt(cell);
-  for (const auto& [slot, p] : entries) rebuilt.insert(slot, p);
-  grid_ = std::move(rebuilt);
 }
 
 void World::unregister_receiver(FrameReceiver* receiver) {

@@ -92,11 +92,6 @@ class World {
     /// Defaults to a clutter-free free-space model when null.
     std::shared_ptr<const rf::PropagationModel> propagation;
     DeliveryMode delivery = DeliveryMode::kIndexed;
-    /// Cell size of the receiver grid — a performance-only knob (the Atlas
-    /// contract: cell size never changes query results). Non-positive =
-    /// adaptive: the grid re-derives its cell from receiver density (the
-    /// ApDatabase::pick_cell_m formula) as registrations grow.
-    double delivery_cell_m = 0.0;
   };
 
   explicit World(Config config);
@@ -151,7 +146,6 @@ class World {
 
   void deliver(FrameReceiver& receiver, const net80211::ManagementFrame& frame,
                const TxRadio& tx, double freq_mhz);
-  void maybe_resize_grid();
 
   EventQueue queue_;
   util::Rng rng_;
@@ -162,8 +156,6 @@ class World {
   std::vector<ReceiverSlot> slots_;
   std::unordered_map<const FrameReceiver*, std::size_t> slot_of_;
   geo::SpatialIndex grid_;                   ///< distance-bounded receivers, id = slot
-  bool adaptive_cell_ = false;               ///< re-derive cell from density
-  std::size_t next_grid_rebuild_ = 32;       ///< registration count of next resize check
   std::vector<std::size_t> always_slots_;    ///< unbounded interests, ascending
   std::vector<std::size_t> floor_slots_;     ///< rssi-floor receivers, ascending
   double max_interest_radius_ = 0.0;         ///< over grid entries, never shrunk

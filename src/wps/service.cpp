@@ -111,8 +111,6 @@ struct Service::Impl {
   mutable std::atomic<std::uint64_t> tiles_quarantined{0};
   mutable std::atomic<std::uint64_t> records_quarantined{0};
 
-  ServiceOptions options;
-
   ~Impl() {
     if (data != nullptr) {
       ::munmap(const_cast<std::uint8_t*>(data), file_size);
@@ -162,8 +160,8 @@ struct Service::Impl {
       // Local ids are record offsets within the tile; records are
       // BSSID-ascending inside a tile, so ascending local id == ascending
       // BSSID — the property the query merges lean on.
-      st.index = std::make_unique<geo::SpatialIndex>(
-          geo::SpatialIndex::build_from(points, options.index_cell_m));
+      st.index =
+          std::make_unique<geo::SpatialIndex>(geo::SpatialIndex::build_from(points));
     });
     return st.index.get();
   }
@@ -214,7 +212,6 @@ struct Service::State {
   std::atomic<std::uint64_t> epoch{1};
   std::atomic<std::uint64_t> reloads{0};
   std::atomic<std::uint64_t> reloads_rejected{0};
-  ServiceOptions options;
 
   [[nodiscard]] std::shared_ptr<const Impl> pin() const noexcept {
     return current.load(std::memory_order_acquire);
@@ -224,7 +221,7 @@ struct Service::State {
   /// (footer fast path / forward-scan fallback), build the tile table.
   /// Shared verbatim by open() and reload().
   static util::Result<std::shared_ptr<const Impl>> open_impl(
-      const std::filesystem::path& path, const ServiceOptions& options);
+      const std::filesystem::path& path);
 };
 
 Service::Service(std::unique_ptr<State> state) : state_(std::move(state)) {}
@@ -233,11 +230,10 @@ Service& Service::operator=(Service&&) noexcept = default;
 Service::~Service() = default;
 
 util::Result<std::shared_ptr<const Service::Impl>> Service::State::open_impl(
-    const std::filesystem::path& path, const ServiceOptions& options) {
+    const std::filesystem::path& path) {
   using R = util::Result<std::shared_ptr<const Impl>>;
 
   auto impl = std::make_unique<Impl>();
-  impl->options = options;
 
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return R::failure("wps: cannot open " + path.string());
@@ -407,13 +403,11 @@ util::Result<std::shared_ptr<const Service::Impl>> Service::State::open_impl(
   return R(std::shared_ptr<const Impl>(std::move(impl)));
 }
 
-util::Result<Service> Service::open(const std::filesystem::path& path,
-                                    const ServiceOptions& options) {
+util::Result<Service> Service::open(const std::filesystem::path& path) {
   using R = util::Result<Service>;
-  auto impl = State::open_impl(path, options);
+  auto impl = State::open_impl(path);
   if (!impl.ok()) return R::failure(impl.error());
   auto state = std::make_unique<State>();
-  state->options = options;
   state->current.store(std::move(impl).value(), std::memory_order_release);
   return Service(std::move(state));
 }
@@ -423,7 +417,7 @@ util::Result<std::uint64_t> Service::reload(const std::filesystem::path& path,
   using R = util::Result<std::uint64_t>;
   std::lock_guard<std::mutex> lock(state_->reload_mutex);
 
-  auto opened = State::open_impl(path, state_->options);
+  auto opened = State::open_impl(path);
   if (!opened.ok()) {
     state_->reloads_rejected.fetch_add(1, std::memory_order_relaxed);
     return R::failure("wps reload rejected: " + opened.error());

@@ -47,13 +47,6 @@ struct WpsAp {
   std::optional<double> radius_m;
 };
 
-struct ServiceOptions {
-  /// Cell size handed to each lazily built per-tile spatial index
-  /// (0 = let the index pick from the tile's own point density).
-  /// Performance only, never results.
-  double index_cell_m = 0.0;
-};
-
 /// Admission policy for reload() (Aegis hot-swap, DESIGN.md §14). The
 /// candidate snapshot is opened *beside* the serving one and must pass every
 /// check before the swap; any failure rolls back to the incumbent.
@@ -89,8 +82,7 @@ class Service {
   /// or its header is unusable; tail/section damage degrades instead (see
   /// ServiceStats). The Service is movable, not copyable; all queries on a
   /// const Service are safe from any number of threads concurrently.
-  [[nodiscard]] static util::Result<Service> open(const std::filesystem::path& path,
-                                                  const ServiceOptions& options = {});
+  [[nodiscard]] static util::Result<Service> open(const std::filesystem::path& path);
 
   Service(Service&&) noexcept;
   Service& operator=(Service&&) noexcept;

@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <iterator>
 #include <limits>
+#include <map>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -207,6 +209,107 @@ TEST(SpatialIndex, BuildFromMatchesIncrementalInsert) {
   EXPECT_TRUE(SpatialIndex::build_from({}).empty());
 }
 
+// build_from applies the self-sizing formula once:
+// clamp(sqrt(max(1, area) / n), 1, 1000) over the input's bounding box.
+TEST(SpatialIndex, BuildFromPicksDensityCell) {
+  EXPECT_EQ(SpatialIndex().cell_size_m(), 100.0);
+  EXPECT_EQ(SpatialIndex::build_from({}).cell_size_m(), 100.0);  // the default start
+  const std::vector<Vec2> single{{12.5, -7.0}};
+  EXPECT_EQ(SpatialIndex::build_from(single).cell_size_m(), 1.0);
+  const std::vector<Vec2> coincident(50, Vec2{3.0, 4.0});
+  EXPECT_EQ(SpatialIndex::build_from(coincident).cell_size_m(), 1.0);
+  std::vector<Vec2> grid;  // 10x10 lattice over a 1 km square: 100 m cells
+  for (int i = 0; i < 100; ++i) {
+    grid.push_back({(i % 10) * 1000.0 / 9.0, (i / 10) * 1000.0 / 9.0});
+  }
+  EXPECT_DOUBLE_EQ(SpatialIndex::build_from(grid).cell_size_m(), 100.0);
+  const std::vector<Vec2> vast{{0.0, 0.0}, {1.0e6, 1.0e6}};
+  EXPECT_EQ(SpatialIndex::build_from(vast).cell_size_m(), 1000.0);
+}
+
+// Self-sizing: seeded insert/erase walks that cross every resize threshold
+// from 32 to 1024 points. Resizing is performance only, so after every step
+// every query must still equal the brute scan over the live points, and the
+// cell may only move at a threshold, to a value outside 0.5-2x of the old
+// one, inside [1, 1000] m.
+TEST(SpatialIndex, SelfSizingKeepsOracleAcrossResizes) {
+  enum class Cloud { kClustered, kSpread, kCoincident };
+  for (const Cloud cloud : {Cloud::kClustered, Cloud::kSpread, Cloud::kCoincident}) {
+    util::Rng rng(0x5E1F5 + static_cast<std::uint64_t>(cloud));
+    const std::vector<Vec2> blobs{{-1500.0, 800.0}, {0.0, 0.0}, {1900.0, -1200.0}};
+    const auto draw = [&]() -> Vec2 {
+      switch (cloud) {
+        case Cloud::kClustered: {
+          const Vec2 c = blobs[static_cast<std::size_t>(rng.uniform_int(0, 2))];
+          return {c.x + rng.gaussian(0.0, 3.0), c.y + rng.gaussian(0.0, 3.0)};
+        }
+        case Cloud::kSpread:
+          return {rng.uniform(-5000.0, 5000.0), rng.uniform(-5000.0, 5000.0)};
+        case Cloud::kCoincident:
+          return {42.0, -17.0};
+      }
+      return {};
+    };
+    SpatialIndex index;
+    std::map<Id, Vec2> live;  // ascending ids: the brute scan's order
+    Id next_id = 0;
+    int resizes = 0;
+    for (int step = 0; live.size() <= 1100; ++step) {
+      const double cell_before = index.cell_size_m();
+      const bool erase = !live.empty() && rng.bernoulli(0.25);
+      if (erase) {
+        auto victim = live.begin();
+        const auto last = static_cast<std::int64_t>(live.size()) - 1;
+        std::advance(victim, rng.uniform_int(0, last));
+        ASSERT_TRUE(index.erase(victim->first));
+        live.erase(victim);
+      } else {
+        const Vec2 p = draw();
+        index.insert(next_id, p);
+        live.emplace(next_id++, p);
+      }
+      const double cell = index.cell_size_m();
+      ASSERT_GE(cell, 1.0);
+      ASSERT_LE(cell, 1000.0);
+      if (cell != cell_before) {
+        ++resizes;
+        const std::size_t n = index.size();
+        ASSERT_FALSE(erase) << "step " << step;
+        ASSERT_TRUE(n >= 32 && (n & (n - 1)) == 0) << "step " << step << " size " << n;
+        ASSERT_FALSE(cell > cell_before * 0.5 && cell < cell_before * 2.0)
+            << "step " << step << ": " << cell_before << " -> " << cell;
+      }
+
+      std::vector<Id> ids;
+      std::vector<Vec2> pts;
+      for (const auto& [id, p] : live) {
+        ids.push_back(id);
+        pts.push_back(p);
+      }
+      const auto as_ids = [&](const std::vector<Id>& ranks) {
+        std::vector<Id> out;
+        for (const Id r : ranks) out.push_back(ids[r]);
+        return out;
+      };
+      // Centers near the cloud or anywhere; radii tight or wide.
+      Vec2 center{rng.uniform(-6000.0, 6000.0), rng.uniform(-6000.0, 6000.0)};
+      if (rng.bernoulli(0.7)) center = draw();
+      const double radius = rng.uniform(0.0, rng.bernoulli(0.5) ? 20.0 : 3000.0);
+      ASSERT_EQ(index.query_disc(center, radius), as_ids(brute_disc(pts, center, radius)))
+          << "step " << step;
+      const Vec2 lo{center.x - radius, center.y - radius * 0.5};
+      const Vec2 hi{center.x + radius * 0.5, center.y + radius};
+      ASSERT_EQ(index.query_range(lo, hi), as_ids(brute_range(pts, lo, hi)))
+          << "step " << step;
+      const std::size_t k = static_cast<std::size_t>(rng.uniform_int(0, 40));
+      ASSERT_EQ(index.nearest_k(center, k), as_ids(brute_nearest(pts, center, k)))
+          << "step " << step;
+    }
+    // Every cloud moves the cell off its 100 m start at least once.
+    EXPECT_GT(resizes, 0) << "cloud " << static_cast<int>(cloud);
+  }
+}
+
 // The best-first nearest_k rewrite earns its keep on clustered clouds: tight
 // blobs separated by wide empty gulfs, queried with large k and from centers
 // far outside the occupied bounding box. The oracle stays the same brute
@@ -226,7 +329,8 @@ TEST(SpatialIndex, NearestKClusteredOracle) {
       points.push_back({c.x + rng.gaussian(0.0, 40.0), c.y + rng.gaussian(0.0, 40.0)});
     }
     // A fine cell size recreates the pathological many-empty-cells regime.
-    const SpatialIndex index = SpatialIndex::build_from(points, rng.uniform(2.0, 30.0));
+    SpatialIndex index(rng.uniform(2.0, 30.0));
+    for (std::size_t i = 0; i < n; ++i) index.insert(i, points[i]);
     for (const std::size_t k : {std::size_t{1}, std::size_t{7}, std::size_t{64},
                                 n / 2, n - 1, n, n + 10}) {
       // From inside a cluster, between clusters, and far outside everything.

@@ -292,7 +292,6 @@ TEST(PipelineLive, ConcurrentQueriesSeeConsistentSnapshots) {
 
   const PipelineStats stats = tracker.stats();
   EXPECT_EQ(stats.total_dropped, 0u);
-  EXPECT_GT(stats.locate_count, 0u);
   std::filesystem::remove(s.pcap_path);
 }
 

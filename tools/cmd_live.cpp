@@ -39,10 +39,6 @@ void write_stats_json(const std::string& path, const pipeline::PipelineStats& st
   out << "  \"records\": " << feed.replay.records << ",\n";
   out << "  \"quarantined\": " << feed.replay.quarantined() << ",\n";
   out << "  \"interrupted\": " << (feed.interrupted ? "true" : "false") << ",\n";
-  out << "  \"locate\": {\"count\": " << stats.locate_count
-      << ", \"p50_us\": " << stats.locate_p50_us << ", \"p95_us\": " << stats.locate_p95_us
-      << ", \"p99_us\": " << stats.locate_p99_us << ", \"max_us\": " << stats.locate_max_us
-      << "},\n";
   out << "  \"durability\": {\"enabled\": "
       << (stats.durability_enabled ? "true" : "false")
       << ", \"wal_records\": " << stats.total_wal_records

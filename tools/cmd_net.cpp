@@ -76,10 +76,6 @@ void write_net_stats_json(const std::string& path, const pipeline::PipelineStats
   out << "  \"total_dropped\": " << stats.total_dropped << ",\n";
   out << "  \"frames_per_sec\": " << stats.frames_per_sec << ",\n";
   out << "  \"directory_size\": " << stats.directory_size << ",\n";
-  out << "  \"locate\": {\"count\": " << stats.locate_count
-      << ", \"p50_us\": " << stats.locate_p50_us << ", \"p95_us\": " << stats.locate_p95_us
-      << ", \"p99_us\": " << stats.locate_p99_us << ", \"max_us\": " << stats.locate_max_us
-      << "},\n";
   out << "  \"durability\": {\"enabled\": "
       << (stats.durability_enabled ? "true" : "false")
       << ", \"wal_records\": " << stats.total_wal_records
