@@ -16,7 +16,6 @@
 //     least as much as the previous (none <= ssid <= ssid+seq <= full), and
 //     the sequence/Gamma signals recover strictly more than SSID-only —
 //     the paper's implicit-identifier argument, measured.
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -57,8 +56,12 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  std::ofstream out(out_path);
-  marauder::write_arena_json(result, out);
+  if (!util::write_json_file(out_path, [&](util::JsonWriter& json) {
+        marauder::write_arena_json(result, json);
+      })) {
+    std::cerr << "cannot write " << out_path << "\n";
+    return 1;
+  }
   std::cout << "\nwrote " << out_path << "\n";
 
   // Shape 1: %-tracked never increases with adoption within a column.

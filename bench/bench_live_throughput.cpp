@@ -13,7 +13,6 @@
 // the same mix a replayed capture produces.
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <thread>
 #include <vector>
@@ -22,6 +21,7 @@
 #include "pipeline/live_tracker.h"
 #include "sim/scenario.h"
 #include "util/flags.h"
+#include "util/json.h"
 #include "util/rng.h"
 
 namespace {
@@ -133,29 +133,32 @@ RunResult run_once(const marauder::ApDatabase& db,
   return r;
 }
 
-void write_json(const std::string& path, std::size_t events, std::size_t producers,
+bool write_json(const std::string& path, std::size_t events, std::size_t producers,
                 const std::vector<RunResult>& results, double wal_slowdown) {
-  std::ofstream out(path);
-  out << "{\n  \"benchmark\": \"live_throughput\",\n"
-      << "  \"events\": " << events << ",\n"
-      << "  \"producers\": " << producers << ",\n"
-      << "  \"wal_slowdown\": " << wal_slowdown << ",\n"
-      << "  \"runs\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const RunResult& r = results[i];
-    out << "    {\"shards\": " << r.shards
-        << ", \"wal\": " << (r.wal ? "true" : "false")
-        << ", \"elapsed_s\": " << r.elapsed_s
-        << ", \"stop_s\": " << r.stop_s
-        << ", \"frames_per_sec\": " << r.frames_per_sec << ", \"frames\": " << r.frames
-        << ", \"publishes\": " << r.publishes
-        << ", \"incremental_updates\": " << r.incremental_updates
-        << ", \"full_recomputes\": " << r.full_recomputes
-        << ", \"ring_high_water\": " << r.ring_high_water
-        << ", \"wal_records\": " << r.wal_records << "}"
-        << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
+  return util::write_json_file(path, [&](util::JsonWriter& json) {
+    json.begin_object()
+        .field("benchmark", "live_throughput")
+        .field("events", events)
+        .field("producers", producers)
+        .field("wal_slowdown", wal_slowdown)
+        .begin_array("runs");
+    for (const RunResult& r : results) {
+      json.begin_object()
+          .field("shards", r.shards)
+          .field("wal", r.wal)
+          .field("elapsed_s", r.elapsed_s)
+          .field("stop_s", r.stop_s)
+          .field("frames_per_sec", r.frames_per_sec)
+          .field("frames", r.frames)
+          .field("publishes", r.publishes)
+          .field("incremental_updates", r.incremental_updates)
+          .field("full_recomputes", r.full_recomputes)
+          .field("ring_high_water", r.ring_high_water)
+          .field("wal_records", r.wal_records)
+          .end_object();
+    }
+    json.end_array().end_object();
+  });
 }
 
 }  // namespace
@@ -204,7 +207,10 @@ int main(int argc, char** argv) {
   const double wal_slowdown = wal_run.frames_per_sec > 0.0
                                   ? no_wal.frames_per_sec / wal_run.frames_per_sec
                                   : 0.0;
-  write_json(out_path, events_n, producers, results, wal_slowdown);
+  if (!write_json(out_path, events_n, producers, results, wal_slowdown)) {
+    std::cerr << "cannot write " << out_path << "\n";
+    return 1;
+  }
   std::cout << "wrote " << out_path << "\n";
 
   const bool met = no_wal.frames_per_sec >= 500'000.0;

@@ -11,7 +11,6 @@
 //   bench_net [--events N] [--smoke] [--seed S] [--out BENCH_net.json]
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -22,6 +21,7 @@
 #include "net/link_sim.h"
 #include "net/wire_codec.h"
 #include "util/flags.h"
+#include "util/json.h"
 #include "util/rng.h"
 
 namespace {
@@ -146,22 +146,29 @@ CellResult run_cell(const std::vector<capture::FrameEvent>& events,
   return r;
 }
 
-void write_json(const std::string& path, std::size_t events,
+bool write_json(const std::string& path, std::size_t events,
                 const std::vector<CellResult>& results) {
-  std::ofstream out(path);
-  out << "{\n  \"benchmark\": \"net\",\n  \"events\": " << events << ",\n  \"runs\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const CellResult& r = results[i];
-    out << "    {\"loss\": " << r.loss << ", \"fec_k\": " << r.fec_k
-        << ", \"wire_bytes\": " << r.wire_bytes
-        << ", \"overhead_pct\": " << r.overhead_pct
-        << ", \"delivered\": " << r.delivered << ", \"recovered\": " << r.recovered
-        << ", \"gaps\": " << r.gaps << ", \"mismatches\": " << r.mismatches
-        << ", \"elapsed_s\": " << r.elapsed_s
-        << ", \"events_per_sec\": " << r.events_per_sec << "}"
-        << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
+  return util::write_json_file(path, [&](util::JsonWriter& json) {
+    json.begin_object()
+        .field("benchmark", "net")
+        .field("events", events)
+        .begin_array("runs");
+    for (const CellResult& r : results) {
+      json.begin_object()
+          .field("loss", r.loss)
+          .field("fec_k", r.fec_k)
+          .field("wire_bytes", r.wire_bytes)
+          .field("overhead_pct", r.overhead_pct)
+          .field("delivered", r.delivered)
+          .field("recovered", r.recovered)
+          .field("gaps", r.gaps)
+          .field("mismatches", r.mismatches)
+          .field("elapsed_s", r.elapsed_s)
+          .field("events_per_sec", r.events_per_sec)
+          .end_object();
+    }
+    json.end_array().end_object();
+  });
 }
 
 }  // namespace
@@ -210,7 +217,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  write_json(out_path, events_n, results);
+  if (!write_json(out_path, events_n, results)) {
+    std::cerr << "cannot write " << out_path << "\n";
+    return 1;
+  }
   std::cout << "wrote " << out_path << "\n";
 
   double min_goodput = -1.0;

@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
@@ -34,6 +33,7 @@
 #include "marauder/tracker.h"
 #include "sim/scenario.h"
 #include "util/flags.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -270,47 +270,53 @@ int main(int argc, char** argv) {
   std::cout << "AP-Rad radii (" << gammas.size() << " gammas): serial " << aprad_serial_s
             << " s, threaded " << aprad_threaded_s << " s (" << aprad_speedup << "x)\n\n";
 
-  std::ofstream out(out_path);
-  out << "{\n  \"benchmark\": \"offline_throughput\",\n"
-      << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-      << "  \"hw_cores\": " << hw_cores << ",\n"
-      << "  \"devices\": " << devices << ",\n"
-      << "  \"clusters\": " << clusters << ",\n"
-      << "  \"reps\": " << reps << ",\n"
-      << "  \"serial_nocache_devices_per_sec\": " << serial_nocache.devices_per_sec << ",\n"
-      << "  \"serial_devices_per_sec\": " << serial.devices_per_sec << ",\n"
-      << "  \"duplicate_ratio\": " << serial.profile.duplicate_ratio << ",\n"
-      << "  \"cache_engaged\": " << (serial.profile.cache_engaged ? "true" : "false")
-      << ",\n"
-      << "  \"unique_gammas\": " << serial.profile.unique_gammas << ",\n"
-      << "  \"outlier_devices\": " << serial.profile.outlier_devices << ",\n"
-      << "  \"cache_speedup\": " << cache_speedup << ",\n"
-      << "  \"cache_hit_rate\": " << hit_rate << ",\n"
-      << "  \"threads_sweep\": [\n";
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const LocateRun& run = sweep[i];
-    out << "    {\"threads\": " << run.threads
-        << ", \"devices_per_sec\": " << run.devices_per_sec
-        << ", \"speedup\": " << sweep_speedup[i]
-        << ", \"plan_s\": " << run.profile.plan_s
-        << ", \"locate_s\": " << run.profile.locate_s
-        << ", \"merge_s\": " << run.profile.merge_s
-        << ", \"identical\": " << (sweep_identical[i] ? "true" : "false") << "}"
-        << (i + 1 < sweep.size() ? "," : "") << "\n";
+  const bool json_written = util::write_json_file(out_path, [&](util::JsonWriter& json) {
+    json.begin_object()
+        .field("benchmark", "offline_throughput")
+        .field("smoke", smoke)
+        .field("hw_cores", hw_cores)
+        .field("devices", devices)
+        .field("clusters", clusters)
+        .field("reps", reps)
+        .field("serial_nocache_devices_per_sec", serial_nocache.devices_per_sec)
+        .field("serial_devices_per_sec", serial.devices_per_sec)
+        .field("duplicate_ratio", serial.profile.duplicate_ratio)
+        .field("cache_engaged", serial.profile.cache_engaged)
+        .field("unique_gammas", serial.profile.unique_gammas)
+        .field("outlier_devices", serial.profile.outlier_devices)
+        .field("cache_speedup", cache_speedup)
+        .field("cache_hit_rate", hit_rate)
+        .begin_array("threads_sweep");
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
+      const LocateRun& run = sweep[i];
+      json.begin_object()
+          .field("threads", run.threads)
+          .field("devices_per_sec", run.devices_per_sec)
+          .field("speedup", sweep_speedup[i])
+          .field("plan_s", run.profile.plan_s)
+          .field("locate_s", run.profile.locate_s)
+          .field("merge_s", run.profile.merge_s)
+          .field("identical", static_cast<bool>(sweep_identical[i]))
+          .end_object();
+    }
+    json.end_array()
+        .field("locate_speedup", locate_speedup)
+        .field("locate_identical", locate_identical)
+        .field("mc_trials", mc_trials)
+        .field("mc_serial_s", mc_serial_s)
+        .field("mc_threaded_s", mc_threaded_s)
+        .field("mc_speedup", mc_speedup)
+        .field("mc_identical", mc_identical)
+        .field("aprad_serial_s", aprad_serial_s)
+        .field("aprad_threaded_s", aprad_threaded_s)
+        .field("aprad_speedup", aprad_speedup)
+        .field("aprad_identical", aprad_identical)
+        .end_object();
+  });
+  if (!json_written) {
+    std::cerr << "cannot write " << out_path << "\n";
+    return 1;
   }
-  out << "  ],\n"
-      << "  \"locate_speedup\": " << locate_speedup << ",\n"
-      << "  \"locate_identical\": " << (locate_identical ? "true" : "false") << ",\n"
-      << "  \"mc_trials\": " << mc_trials << ",\n"
-      << "  \"mc_serial_s\": " << mc_serial_s << ",\n"
-      << "  \"mc_threaded_s\": " << mc_threaded_s << ",\n"
-      << "  \"mc_speedup\": " << mc_speedup << ",\n"
-      << "  \"mc_identical\": " << (mc_identical ? "true" : "false") << ",\n"
-      << "  \"aprad_serial_s\": " << aprad_serial_s << ",\n"
-      << "  \"aprad_threaded_s\": " << aprad_threaded_s << ",\n"
-      << "  \"aprad_speedup\": " << aprad_speedup << ",\n"
-      << "  \"aprad_identical\": " << (aprad_identical ? "true" : "false") << "\n"
-      << "}\n";
   std::cout << "wrote " << out_path << "\n";
 
   // Determinism is a hard failure everywhere. The >= 4x locate target is a

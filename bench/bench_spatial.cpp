@@ -18,7 +18,6 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -35,6 +34,7 @@
 #include "sim/mobility.h"
 #include "sim/scenario.h"
 #include "util/flags.h"
+#include "util/json.h"
 #include "util/rng.h"
 
 namespace {
@@ -284,27 +284,39 @@ int main(int argc, char** argv) {
     delivery_rows.push_back(dr);
   }
 
-  std::ofstream out(out_path);
-  out << "{\n  \"benchmark\": \"spatial_index\",\n"
-      << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-      << "  \"reps\": " << reps << ",\n  \"aprad\": [";
-  for (std::size_t i = 0; i < aprad_rows.size(); ++i) {
-    const ApRadRow& r = aprad_rows[i];
-    out << (i == 0 ? "" : ",") << "\n    {\"aps\": " << r.aps << ", \"scan_s\": "
-        << r.scan_s << ", \"grid_s\": " << r.grid_s << ", \"speedup\": "
-        << (r.grid_s > 0.0 ? r.scan_s / r.grid_s : 0.0) << ", \"identical\": "
-        << (r.identical ? "true" : "false") << "}";
+  const bool json_written = util::write_json_file(out_path, [&](util::JsonWriter& json) {
+    json.begin_object()
+        .field("benchmark", "spatial_index")
+        .field("smoke", smoke)
+        .field("reps", reps)
+        .begin_array("aprad");
+    for (const ApRadRow& r : aprad_rows) {
+      json.begin_object()
+          .field("aps", r.aps)
+          .field("scan_s", r.scan_s)
+          .field("grid_s", r.grid_s)
+          .field("speedup", r.grid_s > 0.0 ? r.scan_s / r.grid_s : 0.0)
+          .field("identical", r.identical)
+          .end_object();
+    }
+    json.end_array().begin_array("delivery");
+    for (const DeliveryRow& r : delivery_rows) {
+      json.begin_object()
+          .field("aps", r.aps)
+          .field("scan_s", r.scan_s)
+          .field("indexed_s", r.indexed_s)
+          .field("speedup", r.indexed_s > 0.0 ? r.scan_s / r.indexed_s : 0.0)
+          .field("culled", r.culled)
+          .field("transmitted", r.transmitted)
+          .field("identical", r.identical)
+          .end_object();
+    }
+    json.end_array().end_object();
+  });
+  if (!json_written) {
+    std::cerr << "cannot write " << out_path << "\n";
+    return 1;
   }
-  out << "\n  ],\n  \"delivery\": [";
-  for (std::size_t i = 0; i < delivery_rows.size(); ++i) {
-    const DeliveryRow& r = delivery_rows[i];
-    out << (i == 0 ? "" : ",") << "\n    {\"aps\": " << r.aps << ", \"scan_s\": "
-        << r.scan_s << ", \"indexed_s\": " << r.indexed_s << ", \"speedup\": "
-        << (r.indexed_s > 0.0 ? r.scan_s / r.indexed_s : 0.0) << ", \"culled\": "
-        << r.culled << ", \"transmitted\": " << r.transmitted << ", \"identical\": "
-        << (r.identical ? "true" : "false") << "}";
-  }
-  out << "\n  ]\n}\n";
   std::cout << "\nwrote " << out_path << "\n";
 
   // Bit-identity is the contract; a mismatch fails the bench outright.

@@ -16,13 +16,11 @@
 //   * throughput: Q mixed queries over T concurrent threads against the one
 //     const Service, per-query latencies recorded into pre-assigned slots.
 // Writes machine-readable BENCH_wps.json (queries/s + latency percentiles).
-#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -30,7 +28,9 @@
 #include "marauder/ap_database.h"
 #include "net80211/mac_address.h"
 #include "util/flags.h"
+#include "util/json.h"
 #include "util/rng.h"
+#include "util/stats.h"
 #include "util/thread_pool.h"
 #include "wps/service.h"
 #include "wps/snapshot_writer.h"
@@ -146,12 +146,6 @@ bool check_query(const wps::Service& service, const marauder::ApDatabase& db,
   return false;
 }
 
-double percentile_us(std::vector<double>& sorted_s, double p) {
-  if (sorted_s.empty()) return 0.0;
-  const auto idx = static_cast<std::size_t>(p * static_cast<double>(sorted_s.size() - 1));
-  return sorted_s[idx] * 1e6;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -249,35 +243,55 @@ int main(int argc, char** argv) {
   const double elapsed_s = now_seconds() - t0;
   const double qps = elapsed_s > 0.0 ? static_cast<double>(load.size()) / elapsed_s : 0.0;
 
-  std::vector<double> sorted = latency_s;
-  std::sort(sorted.begin(), sorted.end());
-  const double p50_us = percentile_us(sorted, 0.50);
-  const double p95_us = percentile_us(sorted, 0.95);
-  const double p99_us = percentile_us(sorted, 0.99);
-  const double max_us = sorted.empty() ? 0.0 : sorted.back() * 1e6;
+  util::SampleSet latency_us;
+  for (const double s : latency_s) latency_us.add(s * 1e6);
+  const auto pct_us = [&](double p) {
+    return latency_us.empty() ? 0.0 : latency_us.percentile(p);
+  };
+  const double p50_us = pct_us(50.0);
+  const double p95_us = pct_us(95.0);
+  const double p99_us = pct_us(99.0);
+  const double max_us = latency_us.empty() ? 0.0 : latency_us.max();
 
   std::cout << "throughput: " << load.size() << " queries in " << elapsed_s << " s ("
             << qps << " q/s), p50 " << p50_us << " us, p95 " << p95_us << " us, p99 "
             << p99_us << " us, max " << max_us << " us (sink " << sink.load() << ")\n";
 
   const wps::ServiceStats stats = service.stats();
-  std::ofstream out(out_path);
-  out << "{\n  \"benchmark\": \"wps\",\n"
-      << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-      << "  \"aps\": " << num_aps << ",\n"
-      << "  \"tiles\": " << build_stats.tiles << ",\n"
-      << "  \"snapshot_bytes\": " << build_stats.file_bytes << ",\n"
-      << "  \"build_s\": " << build_s << ",\n"
-      << "  \"open_s\": " << open_s << ",\n"
-      << "  \"oracle\": {\"samples\": " << oracle_sample
-      << ", \"mismatches\": " << mismatches << ", \"identical\": "
-      << (mismatches == 0 ? "true" : "false") << "},\n"
-      << "  \"throughput\": {\"threads\": " << threads << ", \"queries\": "
-      << load.size() << ", \"elapsed_s\": " << elapsed_s << ", \"qps\": " << qps
-      << ", \"p50_us\": " << p50_us << ", \"p95_us\": " << p95_us << ", \"p99_us\": "
-      << p99_us << ", \"max_us\": " << max_us << "},\n"
-      << "  \"quarantine\": {\"tiles\": " << stats.tiles_quarantined
-      << ", \"sections_rejected\": " << stats.sections_rejected << "}\n}\n";
+  const bool json_written = util::write_json_file(out_path, [&](util::JsonWriter& json) {
+    json.begin_object()
+        .field("benchmark", "wps")
+        .field("smoke", smoke)
+        .field("aps", num_aps)
+        .field("tiles", build_stats.tiles)
+        .field("snapshot_bytes", build_stats.file_bytes)
+        .field("build_s", build_s)
+        .field("open_s", open_s);
+    json.begin_object("oracle")
+        .field("samples", oracle_sample)
+        .field("mismatches", mismatches)
+        .field("identical", mismatches == 0)
+        .end_object();
+    json.begin_object("throughput")
+        .field("threads", threads)
+        .field("queries", load.size())
+        .field("elapsed_s", elapsed_s)
+        .field("qps", qps)
+        .field("p50_us", p50_us)
+        .field("p95_us", p95_us)
+        .field("p99_us", p99_us)
+        .field("max_us", max_us)
+        .end_object();
+    json.begin_object("quarantine")
+        .field("tiles", stats.tiles_quarantined)
+        .field("sections_rejected", stats.sections_rejected)
+        .end_object();
+    json.end_object();
+  });
+  if (!json_written) {
+    std::cerr << "cannot write " << out_path << "\n";
+    return 1;
+  }
   std::cout << "\nwrote " << out_path << "\n";
 
   std::error_code ec;

@@ -18,13 +18,11 @@
 // but never finalized — the zero-silent-loss contract); the server executing
 // more queries than were issued (a retransmit re-executed past the dedup
 // window); a cell that fails to converge.
-#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -32,7 +30,9 @@
 #include "marauder/ap_database.h"
 #include "net80211/mac_address.h"
 #include "util/flags.h"
+#include "util/json.h"
 #include "util/rng.h"
+#include "util/stats.h"
 #include "wps/remote.h"
 #include "wps/service.h"
 #include "wps/snapshot_writer.h"
@@ -119,14 +119,6 @@ bool same_response(const wps::QueryResponse& got, const wps::QueryResponse& want
   return true;
 }
 
-double percentile(std::vector<double> samples, double p) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const auto idx =
-      static_cast<std::size_t>(p * static_cast<double>(samples.size() - 1));
-  return samples[idx];
-}
-
 struct CellResult {
   double loss = 0.0;
   double burst = 0.0;
@@ -199,8 +191,7 @@ CellResult run_cell(const wps::Service& service,
   const std::size_t total = requests.size();
   std::size_t issued = 0;
   std::size_t completed = 0;
-  std::vector<double> answer_ms;
-  answer_ms.reserve(total);
+  util::SampleSet answer_ms;
 
   // Request ids are monotone from 1, so id-1 indexes back into `requests`.
   for (std::uint64_t guard = 0; completed < total && guard < 500'000; ++guard) {
@@ -218,8 +209,7 @@ CellResult run_cell(const wps::Service& service,
           if (!same_response(o.response, wps::execute_query(service, request))) {
             ++r.mismatches;
           }
-          answer_ms.push_back(
-              static_cast<double>(o.completed_ms - o.issued_ms));
+          answer_ms.add(static_cast<double>(o.completed_ms - o.issued_ms));
           break;
         }
         case wps::OutcomeKind::kShed: ++r.shed; break;
@@ -246,8 +236,10 @@ CellResult run_cell(const wps::Service& service,
       cs.answered + cs.shed + cs.timed_out + cs.circuit_open != cs.issued;
   r.up_dropped = loop.up_stats().dropped + loop.up_stats().burst_dropped;
   r.down_dropped = loop.down_stats().dropped + loop.down_stats().burst_dropped;
-  r.p50_ms = percentile(answer_ms, 0.50);
-  r.p99_ms = percentile(answer_ms, 0.99);
+  if (!answer_ms.empty()) {
+    r.p50_ms = answer_ms.percentile(50.0);
+    r.p99_ms = answer_ms.percentile(99.0);
+  }
   return r;
 }
 
@@ -321,38 +313,46 @@ int main(int argc, char** argv) {
   }
   const double elapsed_s = now_seconds() - t0;
 
-  std::ofstream out(out_path);
-  out << "{\n  \"benchmark\": \"wps_chaos\",\n"
-      << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-      << "  \"aps\": " << num_aps << ",\n"
-      << "  \"queries_per_cell\": " << queries_per_cell << ",\n"
-      << "  \"window\": " << window << ",\n"
-      << "  \"max_queue\": " << max_queue << ",\n"
-      << "  \"elapsed_s\": " << elapsed_s << ",\n"
-      << "  \"cells\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const CellResult& r = cells[i];
-    out << "    {\"loss\": " << r.loss << ", \"burst\": " << r.burst
-        << ", \"issued\": " << r.issued << ", \"answered\": " << r.answered
-        << ", \"shed\": " << r.shed << ", \"timed_out\": " << r.timed_out
-        << ", \"circuit_open\": " << r.circuit_open
-        << ", \"success_rate\": " << r.rate(r.answered)
-        << ", \"shed_rate\": " << r.rate(r.shed)
-        << ", \"retry_amplification\": "
-        << r.rate(static_cast<std::size_t>(r.transmissions))
-        << ", \"retransmissions\": " << r.retransmissions
-        << ", \"server_executed\": " << r.server_executed
-        << ", \"dedup_hits\": " << r.dedup_hits
-        << ", \"up_dropped\": " << r.up_dropped
-        << ", \"down_dropped\": " << r.down_dropped
-        << ", \"p50_ms\": " << r.p50_ms << ", \"p99_ms\": " << r.p99_ms
-        << ", \"mismatches\": " << r.mismatches
-        << ", \"lost_forever\": " << r.lost_forever
-        << ", \"duplicate_execution\": "
-        << (r.duplicate_execution ? "true" : "false") << "}"
-        << (i + 1 < cells.size() ? "," : "") << "\n";
+  const bool json_written = util::write_json_file(out_path, [&](util::JsonWriter& json) {
+    json.begin_object()
+        .field("benchmark", "wps_chaos")
+        .field("smoke", smoke)
+        .field("aps", num_aps)
+        .field("queries_per_cell", queries_per_cell)
+        .field("window", window)
+        .field("max_queue", max_queue)
+        .field("elapsed_s", elapsed_s)
+        .begin_array("cells");
+    for (const CellResult& r : cells) {
+      json.begin_object()
+          .field("loss", r.loss)
+          .field("burst", r.burst)
+          .field("issued", r.issued)
+          .field("answered", r.answered)
+          .field("shed", r.shed)
+          .field("timed_out", r.timed_out)
+          .field("circuit_open", r.circuit_open)
+          .field("success_rate", r.rate(r.answered))
+          .field("shed_rate", r.rate(r.shed))
+          .field("retry_amplification", r.rate(static_cast<std::size_t>(r.transmissions)))
+          .field("retransmissions", r.retransmissions)
+          .field("server_executed", r.server_executed)
+          .field("dedup_hits", r.dedup_hits)
+          .field("up_dropped", r.up_dropped)
+          .field("down_dropped", r.down_dropped)
+          .field("p50_ms", r.p50_ms)
+          .field("p99_ms", r.p99_ms)
+          .field("mismatches", r.mismatches)
+          .field("lost_forever", r.lost_forever)
+          .field("duplicate_execution", r.duplicate_execution)
+          .end_object();
+    }
+    json.end_array().field("pass", !failed).end_object();
+  });
+  if (!json_written) {
+    std::cerr << "cannot write " << out_path << "\n";
+    return 1;
   }
-  out << "  ],\n  \"pass\": " << (failed ? "false" : "true") << "\n}\n";
   std::cout << "\nwrote " << out_path << "\n";
 
   std::error_code ec;

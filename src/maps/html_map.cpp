@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/json.h"
+
 namespace mm::maps {
 
 namespace {
@@ -28,21 +30,6 @@ std::string escape_html(const std::string& text) {
         break;
       default:
         out += c;
-    }
-  }
-  return out;
-}
-
-std::string escape_json(const std::string& text) {
-  std::string out;
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
     }
   }
   return out;
@@ -197,7 +184,7 @@ std::string MarauderMap::to_geojson() const {
     first = false;
     out << "{\"type\":\"Feature\",\"geometry\":{\"type\":\"Point\",\"coordinates\":["
         << g.lon_deg << "," << g.lat_deg << "]},\"properties\":{\"kind\":\"" << kind
-        << "\",\"label\":\"" << escape_json(m.label) << "\"";
+        << "\",\"label\":\"" << util::json_escape(m.label) << "\"";
     if (m.radius_m) out << ",\"radius_m\":" << *m.radius_m;
     out << "}}";
   };
@@ -215,7 +202,7 @@ std::string MarauderMap::to_geojson() const {
       out << "[" << g.lon_deg << "," << g.lat_deg << "]";
     }
     out << "]},\"properties\":{\"kind\":\"path\",\"label\":\""
-        << escape_json(path.label) << "\"}}";
+        << util::json_escape(path.label) << "\"}}";
   }
   out << "]}";
   return out.str();

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <map>
 #include <memory>
-#include <ostream>
 #include <unordered_map>
 
 #include "capture/sniffer.h"
@@ -294,28 +293,30 @@ ArenaResult run_arena(const ArenaConfig& config) {
   return result;
 }
 
-void write_arena_json(const ArenaResult& result, std::ostream& out) {
-  out << "{\n  \"benchmark\": \"arena\",\n"
-      << "  \"seed\": " << result.seed << ",\n"
-      << "  \"devices\": " << result.devices << ",\n"
-      << "  \"defense\": \"" << result.defense << "\",\n"
-      << "  \"cells\": [";
-  for (std::size_t i = 0; i < result.cells.size(); ++i) {
-    const ArenaCell& c = result.cells[i];
-    out << (i == 0 ? "" : ",") << "\n    {\"attacker\": \"" << c.attacker
-        << "\", \"adoption\": " << c.adoption
-        << ", \"devices_observed\": " << c.devices_observed
-        << ", \"pseudonyms_seen\": " << c.pseudonyms_seen
-        << ", \"identities\": " << c.identities
-        << ", \"linked_pairs\": " << c.linked_pairs
-        << ", \"devices_tracked\": " << c.devices_tracked
-        << ", \"pct_tracked\": " << c.pct_tracked
-        << ", \"median_error_m\": " << c.median_error_m
-        << ", \"longest_track_s\": " << c.longest_track_s
-        << ", \"pure_points\": " << c.pure_points
-        << ", \"impure_points\": " << c.impure_points << "}";
+void write_arena_json(const ArenaResult& result, util::JsonWriter& json) {
+  json.begin_object()
+      .field("benchmark", "arena")
+      .field("seed", result.seed)
+      .field("devices", result.devices)
+      .field("defense", result.defense)
+      .begin_array("cells");
+  for (const ArenaCell& c : result.cells) {
+    json.begin_object()
+        .field("attacker", c.attacker)
+        .field("adoption", c.adoption)
+        .field("devices_observed", c.devices_observed)
+        .field("pseudonyms_seen", c.pseudonyms_seen)
+        .field("identities", c.identities)
+        .field("linked_pairs", c.linked_pairs)
+        .field("devices_tracked", c.devices_tracked)
+        .field("pct_tracked", c.pct_tracked)
+        .field("median_error_m", c.median_error_m)
+        .field("longest_track_s", c.longest_track_s)
+        .field("pure_points", c.pure_points)
+        .field("impure_points", c.impure_points)
+        .end_object();
   }
-  out << "\n  ]\n}\n";
+  json.end_array().end_object();
 }
 
 }  // namespace mm::marauder

@@ -25,13 +25,13 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "marauder/identity.h"
 #include "marauder/trajectory.h"
 #include "sim/population.h"
+#include "util/json.h"
 
 namespace mm::marauder {
 
@@ -101,6 +101,6 @@ struct ArenaResult {
 [[nodiscard]] ArenaResult run_arena(const ArenaConfig& config);
 
 /// BENCH_arena.json layout shared by bench_arena and `mmctl arena`.
-void write_arena_json(const ArenaResult& result, std::ostream& out);
+void write_arena_json(const ArenaResult& result, util::JsonWriter& json);
 
 }  // namespace mm::marauder

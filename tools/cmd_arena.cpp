@@ -1,11 +1,11 @@
 // mmctl arena — the Chimera attack-vs-defense sweep from the command line.
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 
 #include "commands.h"
 #include "marauder/arena.h"
+#include "pipeline_report.h"
 #include "util/table.h"
 
 namespace mm::tools {
@@ -64,14 +64,10 @@ int cmd_arena(const util::Flags& flags) {
   table.print(std::cout);
 
   const std::string out_path = flags.get("out", "");
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    if (!out) {
-      std::cerr << "mmctl arena: cannot write " << out_path << "\n";
-      return 1;
-    }
-    marauder::write_arena_json(result, out);
-    std::cout << "\nwrote " << out_path << "\n";
+  if (!out_path.empty() && !write_report_file(out_path, [&](util::JsonWriter& json) {
+        marauder::write_arena_json(result, json);
+      })) {
+    return 1;
   }
   return 0;
 }

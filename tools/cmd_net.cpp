@@ -17,7 +17,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -32,7 +31,6 @@
 #include "capture/replay.h"
 #include "fault/fault_plan.h"
 #include "geo/geodetic.h"
-#include "marauder/ap_database.h"
 #include "net/fec.h"
 #include "net/link_sim.h"
 #include "net/udp.h"
@@ -40,6 +38,7 @@
 #include "net80211/pcap.h"
 #include "pipeline/feed_mux.h"
 #include "pipeline/live_tracker.h"
+#include "pipeline_report.h"
 #include "sim/scenario.h"
 #include "util/table.h"
 
@@ -67,62 +66,35 @@ void send_through_link(net::LinkSimulator& link, std::span<const std::uint8_t> b
       bytes, [&](std::span<const std::uint8_t> frame) { link.send(frame); });
 }
 
-void write_net_stats_json(const std::string& path, const pipeline::PipelineStats& stats,
+void write_net_stats_json(util::JsonWriter& json, const pipeline::PipelineStats& stats,
                           const pipeline::FeedMuxStats& net) {
-  std::ofstream out(path);
-  out << "{\n";
-  out << "  \"elapsed_s\": " << stats.elapsed_s << ",\n";
-  out << "  \"total_frames\": " << stats.total_frames << ",\n";
-  out << "  \"total_dropped\": " << stats.total_dropped << ",\n";
-  out << "  \"frames_per_sec\": " << stats.frames_per_sec << ",\n";
-  out << "  \"directory_size\": " << stats.directory_size << ",\n";
-  out << "  \"durability\": {\"enabled\": "
-      << (stats.durability_enabled ? "true" : "false")
-      << ", \"wal_records\": " << stats.total_wal_records
-      << ", \"checkpoints\": " << stats.total_checkpoints << "},\n";
-  out << "  \"net\": {\n";
-  out << "    \"events_delivered\": " << net.events_delivered << ",\n";
-  out << "    \"events_dropped\": " << net.events_dropped << ",\n";
-  out << "    \"last_stream_seq\": " << net.last_stream_seq << ",\n";
-  out << "    \"feeds\": [\n";
-  for (std::size_t i = 0; i < net.feeds.size(); ++i) {
-    const pipeline::FeedStats& f = net.feeds[i];
-    out << "      {\"stream_id\": " << f.stream_id
-        << ", \"bytes_fed\": " << f.wire.bytes_fed
-        << ", \"frames_decoded\": " << f.wire.frames_decoded
-        << ", \"resync_bytes\": " << f.wire.resync_bytes
-        << ", \"crc_failures\": " << f.wire.crc_failures
-        << ", \"bad_version\": " << f.wire.bad_version
-        << ", \"bad_length\": " << f.wire.bad_length
-        << ", \"data_frames\": " << f.fec.data_frames
-        << ", \"parity_frames\": " << f.fec.parity_frames
-        << ", \"duplicates\": " << f.fec.duplicates
-        << ", \"out_of_order\": " << f.fec.out_of_order
-        << ", \"recovered\": " << f.fec.recovered
-        << ", \"unrecoverable_gaps\": " << f.fec.unrecoverable_gaps
-        << ", \"recoveries_late\": " << f.fec.recoveries_late
-        << ", \"bad_payloads\": " << f.fec.bad_payloads
-        << ", \"stream_mismatches\": " << f.stream_mismatches
-        << ", \"events_delivered\": " << f.events_delivered
-        << ", \"events_dropped\": " << f.events_dropped
-        << ", \"degraded\": " << (f.degraded() ? "true" : "false") << "}"
-        << (i + 1 < net.feeds.size() ? "," : "") << "\n";
+  json.begin_object();
+  write_pipeline_json(json, stats);
+  json.begin_object("net")
+      .field("events_delivered", net.events_delivered)
+      .field("events_dropped", net.events_dropped)
+      .field("last_stream_seq", net.last_stream_seq)
+      .begin_array("feeds");
+  for (const pipeline::FeedStats& f : net.feeds) {
+    json.begin_object().field("stream_id", f.stream_id);
+    write_wire_json(json, f.wire);
+    json.field("data_frames", f.fec.data_frames)
+        .field("parity_frames", f.fec.parity_frames)
+        .field("duplicates", f.fec.duplicates)
+        .field("out_of_order", f.fec.out_of_order)
+        .field("recovered", f.fec.recovered)
+        .field("unrecoverable_gaps", f.fec.unrecoverable_gaps)
+        .field("recoveries_late", f.fec.recoveries_late)
+        .field("bad_payloads", f.fec.bad_payloads)
+        .field("stream_mismatches", f.stream_mismatches)
+        .field("events_delivered", f.events_delivered)
+        .field("events_dropped", f.events_dropped)
+        .field("degraded", f.degraded())
+        .end_object();
   }
-  out << "    ]\n  },\n";
-  out << "  \"shards\": [\n";
-  for (std::size_t i = 0; i < stats.shards.size(); ++i) {
-    const pipeline::ShardStats& s = stats.shards[i];
-    out << "    {\"frames\": " << s.frames << ", \"contacts\": " << s.contacts
-        << ", \"publishes\": " << s.publishes << ", \"devices\": " << s.devices
-        << ", \"ring_dropped\": " << s.ring_dropped
-        << ", \"applied_seq\": " << s.applied_seq
-        << ", \"wal_records\": " << s.wal_records
-        << ", \"checkpoints\": " << s.checkpoints
-        << ", \"dedup_skipped\": " << s.dedup_skipped
-        << ", \"degraded\": " << (s.degraded ? "true" : "false") << "}"
-        << (i + 1 < stats.shards.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
+  json.end_array().end_object();
+  write_shards_json(json, stats);
+  json.end_object();
 }
 
 }  // namespace
@@ -312,43 +284,11 @@ int cmd_net_recv(const util::Flags& flags) {
   }
 
   const geo::EnuFrame frame(sim::uml_north_campus());
-  marauder::CsvImportStats apdb_stats;
-  auto db_result = marauder::ApDatabase::from_csv(apdb_path, frame, &apdb_stats);
-  if (!db_result.ok()) {
-    std::cerr << "mmctl net-recv: --apdb: " << db_result.error() << "\n";
-    return 1;
-  }
-  const marauder::ApDatabase db = std::move(db_result.value());
-  if (apdb_stats.quarantined > 0) {
-    std::cerr << "apdb: quarantined " << apdb_stats.quarantined << "/"
-              << apdb_stats.rows_total << " malformed rows\n";
-  }
-
+  const auto db = load_apdb(flags, "mmctl net-recv", frame);
+  if (!db) return 1;
   pipeline::LiveTrackerConfig config;
-  config.shards = static_cast<std::size_t>(flags.get_int("shards", 4));
-  config.ring_capacity =
-      static_cast<std::size_t>(flags.get_int("ring-capacity", 1 << 14));
-  config.default_radius_m = flags.get_double("default-radius", 100.0);
-  config.mloc.reject_outliers = flags.has("reject-outliers");
-  const std::string policy = flags.get("drop-policy", "drop");
-  if (policy == "drop") {
-    config.drop_policy = pipeline::DropPolicy::kDropNewest;
-  } else if (policy == "block") {
-    config.drop_policy = pipeline::DropPolicy::kBlock;
-  } else {
-    std::cerr << "mmctl net-recv: unknown --drop-policy '" << policy << "' (drop|block)\n";
-    return 2;
-  }
-  const std::string wal_dir = flags.get("wal-dir", "");
-  if (!wal_dir.empty()) {
-    config.durability.dir = wal_dir;
-    config.durability.checkpoint_interval_s = flags.get_double("checkpoint-secs", 30.0);
-    config.durability.wal.fsync_on_commit = !flags.has("no-fsync");
-  }
-  const bool do_recover = flags.has("recover");
-  if (do_recover && wal_dir.empty()) {
-    std::cerr << "mmctl net-recv: --recover requires --wal-dir\n";
-    return 2;
+  if (const int rc = tracker_config_from_flags(flags, "mmctl net-recv", config); rc != 0) {
+    return rc;
   }
 
   net::FecDecoderOptions fec_options;
@@ -386,19 +326,8 @@ int cmd_net_recv(const util::Flags& flags) {
     }
   }
 
-  pipeline::LiveTracker tracker(db, config);
-  if (do_recover) {
-    auto recovered = tracker.recover();
-    if (!recovered.ok()) {
-      std::cerr << "mmctl net-recv: --recover: " << recovered.error() << "\n";
-      return 1;
-    }
-    const pipeline::RecoveryStats& r = recovered.value();
-    std::cout << "recovered " << r.checkpoints_loaded << " checkpoints, "
-              << r.wal_records_replayed << " WAL records replayed ("
-              << r.wal_records_skipped << " skipped), " << r.devices_restored
-              << " devices\n";
-  }
+  pipeline::LiveTracker tracker(*db, config);
+  if (flags.has("recover") && !recover_tracker(tracker, "mmctl net-recv")) return 1;
 
   std::signal(SIGINT, net_signal_handler);
   std::signal(SIGTERM, net_signal_handler);
@@ -487,38 +416,15 @@ int cmd_net_recv(const util::Flags& flags) {
             << " processed in " << util::Table::fmt(stats.elapsed_s, 3) << " s ("
             << util::Table::fmt(stats.frames_per_sec, 0) << " frames/s)\n\n";
 
-  util::Table shard_table(
-      {"shard", "frames", "contacts", "publishes", "devices", "ring drop", "wal",
-       "ckpt", "health"});
-  for (std::size_t i = 0; i < stats.shards.size(); ++i) {
-    const pipeline::ShardStats& s = stats.shards[i];
-    shard_table.add_row(
-        {std::to_string(i), std::to_string(s.frames), std::to_string(s.contacts),
-         std::to_string(s.publishes), std::to_string(s.devices),
-         std::to_string(s.ring_dropped), std::to_string(s.wal_records),
-         std::to_string(s.checkpoints), s.degraded ? "DEGRADED" : "ok"});
-  }
-  shard_table.print(std::cout);
-
-  auto snapshot = tracker.snapshot();
-  std::sort(snapshot.begin(), snapshot.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  util::Table device_table({"device", "x (m)", "y (m)", "lat", "lon", "|Gamma|", "updates"});
-  for (const auto& [mac, pos] : snapshot) {
-    const geo::Geodetic g = frame.to_geodetic({pos.x_m, pos.y_m});
-    device_table.add_row(
-        {mac.to_string(), util::Table::fmt(pos.x_m, 1), util::Table::fmt(pos.y_m, 1),
-         util::Table::fmt(g.lat_deg, 6), util::Table::fmt(g.lon_deg, 6),
-         std::to_string(pos.gamma_size), std::to_string(pos.updates)});
-  }
+  print_shard_table(stats);
   std::cout << "\n";
-  device_table.print(std::cout);
-  std::cout << "\ntracking " << snapshot.size() << " devices live\n";
+  print_device_table(tracker, frame);
 
   const std::string json_path = flags.get("stats-json", "");
-  if (!json_path.empty()) {
-    write_net_stats_json(json_path, stats, net_stats);
-    std::cout << "wrote " << json_path << "\n";
+  if (!json_path.empty() && !write_report_file(json_path, [&](util::JsonWriter& json) {
+        write_net_stats_json(json, stats, net_stats);
+      })) {
+    return 1;
   }
   return g_net_interrupted.load() ? 130 : 0;
 }

@@ -43,7 +43,9 @@
 #include "net/udp.h"
 #include "net/wire_codec.h"
 #include "net80211/mac_address.h"
+#include "pipeline_report.h"
 #include "sim/scenario.h"
+#include "util/stats.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 #include "wps/query_codec.h"
@@ -64,17 +66,6 @@ std::atomic<bool> g_wps_reload{false};
 
 extern "C" void wps_signal_handler(int) { g_wps_interrupted.store(true); }
 extern "C" void wps_hup_handler(int) { g_wps_reload.store(true); }
-
-/// Sorted-percentile helper over recorded per-request handling times.
-double percentile_us(std::vector<double> samples, double p) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const double rank = p * static_cast<double>(samples.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return samples[lo] + (samples[hi] - samples[lo]) * frac;
-}
 
 const char* op_name(wps::QueryOp op) {
   switch (op) {
@@ -104,59 +95,48 @@ void print_service_stats(const wps::ServiceStats& stats) {
   std::cout << "\n";
 }
 
-/// Serving-tier additions riding along in the stats JSON (Aegis, prewarm).
-struct ServeJsonExtras {
-  bool prewarmed = false;
-  double prewarm_s = 0.0;
-  double p50_us = 0.0;  ///< per-request handling latency (post-prewarm)
-  double p99_us = 0.0;
-  const wps::RemoteServerStats* aegis = nullptr;  ///< UDP mode only
-  const wps::DedupStats* dedup = nullptr;
+/// Request counters both serving modes report.
+struct ServeCounters {
+  std::uint64_t requests = 0;
+  std::uint64_t bad_requests = 0;
+  std::uint64_t undecodable = 0;
+  std::uint64_t records_returned = 0;
+  std::uint64_t response_frames = 0;
 };
 
-void write_serve_stats_json(const std::string& path, std::uint64_t requests,
-                            std::uint64_t bad_requests, std::uint64_t undecodable,
-                            std::uint64_t records_returned,
-                            std::uint64_t response_frames,
-                            const net::WireDecoderStats& wire,
-                            const wps::ServiceStats& service,
-                            const ServeJsonExtras& extras) {
-  std::ofstream out(path);
-  out << "{\n";
-  out << "  \"requests\": " << requests << ",\n";
-  out << "  \"bad_requests\": " << bad_requests << ",\n";
-  out << "  \"undecodable_frames\": " << undecodable << ",\n";
-  out << "  \"records_returned\": " << records_returned << ",\n";
-  out << "  \"response_frames\": " << response_frames << ",\n";
-  out << "  \"prewarm\": {\"enabled\": " << (extras.prewarmed ? "true" : "false")
-      << ", \"prewarm_s\": " << extras.prewarm_s << "},\n";
-  out << "  \"latency\": {\"p50_us\": " << extras.p50_us
-      << ", \"p99_us\": " << extras.p99_us << "},\n";
-  if (extras.aegis != nullptr && extras.dedup != nullptr) {
-    out << "  \"aegis\": {\"executed\": " << extras.aegis->executed
-        << ", \"shed\": " << extras.aegis->shed
-        << ", \"replayed\": " << extras.aegis->replayed
-        << ", \"absorbed_inflight\": " << extras.aegis->absorbed_inflight
-        << ", \"responses_sent\": " << extras.aegis->responses_sent
-        << ", \"dedup_hits\": " << extras.dedup->hits
-        << ", \"dedup_misses\": " << extras.dedup->misses
-        << ", \"dedup_evictions\": " << extras.dedup->evictions << "},\n";
-  }
-  out << "  \"wire\": {\"bytes_fed\": " << wire.bytes_fed
-      << ", \"frames_decoded\": " << wire.frames_decoded
-      << ", \"resync_bytes\": " << wire.resync_bytes
-      << ", \"crc_failures\": " << wire.crc_failures << "},\n";
-  out << "  \"snapshot\": {\"records\": " << service.records_total
-      << ", \"tiles\": " << service.tiles_total
-      << ", \"sections_rejected\": " << service.sections_rejected
-      << ", \"tiles_quarantined\": " << service.tiles_quarantined
-      << ", \"records_quarantined\": " << service.records_quarantined
-      << ", \"footer_recovered\": " << (service.footer_recovered ? "true" : "false")
-      << ", \"mac_index_damaged\": " << (service.mac_index_damaged ? "true" : "false")
-      << ", \"epoch\": " << service.epoch
-      << ", \"reloads\": " << service.reloads
-      << ", \"reloads_rejected\": " << service.reloads_rejected
-      << "}\n}\n";
+/// The stats-JSON members both serving modes write; the UDP tier adds its
+/// "aegis" block after them. `handle_us` holds per-request handling times.
+void write_serve_json(util::JsonWriter& json, const ServeCounters& counters,
+                      std::optional<double> prewarm_s, const util::SampleSet& handle_us,
+                      const net::WireDecoderStats& wire, const wps::ServiceStats& service) {
+  json.field("requests", counters.requests)
+      .field("bad_requests", counters.bad_requests)
+      .field("undecodable_frames", counters.undecodable)
+      .field("records_returned", counters.records_returned)
+      .field("response_frames", counters.response_frames);
+  json.begin_object("prewarm")
+      .field("enabled", prewarm_s.has_value())
+      .field("prewarm_s", prewarm_s.value_or(0.0))
+      .end_object();
+  json.begin_object("latency")
+      .field("p50_us", handle_us.empty() ? 0.0 : handle_us.percentile(50.0))
+      .field("p99_us", handle_us.empty() ? 0.0 : handle_us.percentile(99.0))
+      .end_object();
+  json.begin_object("wire");
+  write_wire_json(json, wire);
+  json.end_object();
+  json.begin_object("snapshot")
+      .field("records", service.records_total)
+      .field("tiles", service.tiles_total)
+      .field("sections_rejected", service.sections_rejected)
+      .field("tiles_quarantined", service.tiles_quarantined)
+      .field("records_quarantined", service.records_quarantined)
+      .field("footer_recovered", service.footer_recovered)
+      .field("mac_index_damaged", service.mac_index_damaged)
+      .field("epoch", service.epoch)
+      .field("reloads", service.reloads)
+      .field("reloads_rejected", service.reloads_rejected)
+      .end_object();
 }
 
 }  // namespace
@@ -233,7 +213,7 @@ void wps_maybe_reload(wps::Service& service, const std::string& snapshot_path) {
 /// inside RemoteServer::drain() is where --threads applies.
 int wps_serve_udp_loop(const util::Flags& flags, wps::Service& service,
                        const std::string& snapshot_path, std::size_t threads,
-                       ServeJsonExtras extras) {
+                       std::optional<double> prewarm_s) {
   using clock = std::chrono::steady_clock;
   net::UdpListenerOptions listener;
   listener.rcvbuf_bytes =
@@ -269,7 +249,7 @@ int wps_serve_udp_loop(const util::Flags& flags, wps::Service& service,
 
   std::vector<std::uint8_t> datagram(65536);
   std::vector<std::vector<std::uint8_t>> frames_out;
-  std::vector<double> handle_us;
+  util::SampleSet handle_us;
   std::uint64_t datagrams_in = 0;
   auto last_traffic = clock::now();
 
@@ -301,7 +281,7 @@ int wps_serve_udp_loop(const util::Flags& flags, wps::Service& service,
       (void)::sendto(fd, f.data(), f.size(), 0,
                      reinterpret_cast<const sockaddr*>(&src), srclen);
     }
-    handle_us.push_back(
+    handle_us.add(
         std::chrono::duration<double, std::micro>(clock::now() - t0).count());
   }
   ::close(fd);
@@ -310,10 +290,6 @@ int wps_serve_udp_loop(const util::Flags& flags, wps::Service& service,
   std::signal(SIGHUP, SIG_DFL);
 
   const wps::RemoteServerStats& st = server.stats();
-  extras.p50_us = percentile_us(handle_us, 0.50);
-  extras.p99_us = percentile_us(handle_us, 0.99);
-  extras.aegis = &st;
-  extras.dedup = &server.dedup_stats();
 
   util::Table table({"datagrams", "requests", "executed", "shed", "replayed",
                      "absorbed", "bad", "resp frames", "p99 us"});
@@ -322,16 +298,31 @@ int wps_serve_udp_loop(const util::Flags& flags, wps::Service& service,
        std::to_string(st.executed), std::to_string(st.shed),
        std::to_string(st.replayed), std::to_string(st.absorbed_inflight),
        std::to_string(st.bad_requests), std::to_string(st.responses_sent),
-       util::Table::fmt(extras.p99_us, 1)});
+       util::Table::fmt(handle_us.empty() ? 0.0 : handle_us.percentile(99.0), 1)});
   table.print(std::cout);
 
   const std::string json_path = flags.get("stats-json", "");
-  if (!json_path.empty()) {
-    write_serve_stats_json(json_path, st.requests_decoded, st.bad_requests,
-                           /*undecodable=*/0, /*records_returned=*/0,
-                           st.responses_sent, server.decoder_stats(),
-                           service.stats(), extras);
-    std::cout << "wrote " << json_path << "\n";
+  const ServeCounters counters{.requests = st.requests_decoded,
+                                .bad_requests = st.bad_requests,
+                                .response_frames = st.responses_sent};
+  const wps::DedupStats& dedup = server.dedup_stats();
+  if (!json_path.empty() && !write_report_file(json_path, [&](util::JsonWriter& json) {
+        json.begin_object();
+        write_serve_json(json, counters, prewarm_s, handle_us, server.decoder_stats(),
+                         service.stats());
+        json.begin_object("aegis")
+            .field("executed", st.executed)
+            .field("shed", st.shed)
+            .field("replayed", st.replayed)
+            .field("absorbed_inflight", st.absorbed_inflight)
+            .field("responses_sent", st.responses_sent)
+            .field("dedup_hits", dedup.hits)
+            .field("dedup_misses", dedup.misses)
+            .field("dedup_evictions", dedup.evictions)
+            .end_object();
+        json.end_object();
+      })) {
+    return 1;
   }
   return g_wps_interrupted.load() ? 130 : 0;
 }
@@ -359,20 +350,19 @@ int cmd_wps_serve(const util::Flags& flags) {
   wps::Service service = std::move(opened).value();
   print_service_stats(service.stats());
 
-  ServeJsonExtras extras;
+  std::optional<double> prewarm_s;
   if (flags.has("prewarm")) {
     const auto t0 = std::chrono::steady_clock::now();
     const std::uint64_t usable = service.prewarm(threads);
-    extras.prewarmed = true;
-    extras.prewarm_s =
+    prewarm_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
     std::cout << "prewarm: " << usable << " tiles verified+indexed in "
-              << util::Table::fmt(extras.prewarm_s, 3) << " s\n";
+              << util::Table::fmt(*prewarm_s, 3) << " s\n";
   }
 
   if (udp_mode) {
-    return wps_serve_udp_loop(flags, service, snapshot_path, threads, extras);
+    return wps_serve_udp_loop(flags, service, snapshot_path, threads, prewarm_s);
   }
 
   std::ifstream in(in_path, std::ios::binary);
@@ -397,13 +387,9 @@ int cmd_wps_serve(const util::Flags& flags) {
   };
 
   net::WireDecoder decoder;
-  std::uint64_t requests = 0;
-  std::uint64_t bad_requests = 0;
-  std::uint64_t undecodable = 0;
-  std::uint64_t records_returned = 0;
-  std::uint64_t response_frames = 0;
+  ServeCounters counters;
   std::uint64_t op_counts[4] = {0, 0, 0, 0};
-  std::vector<double> handle_us;
+  util::SampleSet handle_us;
 
   constexpr std::size_t kChunkBytes = 4096;
   std::vector<std::uint8_t> chunk(kChunkBytes);
@@ -429,7 +415,7 @@ int cmd_wps_serve(const util::Flags& flags) {
       if (frame.type != net::WireFrameType::kData) continue;  // parity: not ours
       const auto request = wps::decode_request(frame.payload);
       if (!request) {
-        ++undecodable;
+        ++counters.undecodable;
         continue;
       }
       batch.push_back({frame.stream_id, frame.seq, *request});
@@ -447,18 +433,19 @@ int cmd_wps_serve(const util::Flags& flags) {
     const double batch_us = std::chrono::duration<double, std::micro>(
                                 std::chrono::steady_clock::now() - batch_t0)
                                 .count();
-    handle_us.insert(handle_us.end(), batch.size(),
-                     batch_us / static_cast<double>(batch.size()));
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      handle_us.add(batch_us / static_cast<double>(batch.size()));
+    }
 
     wire_out.clear();
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      ++requests;
+      ++counters.requests;
       ++op_counts[static_cast<std::size_t>(batch[i].request.op) & 3];
-      if (responses[i].status != wps::QueryStatus::kOk) ++bad_requests;
-      records_returned += responses[i].aps.size();
+      if (responses[i].status != wps::QueryStatus::kOk) ++counters.bad_requests;
+      counters.records_returned += responses[i].aps.size();
       const auto frames =
           wps::encode_response(responses[i], batch[i].stream_id, batch[i].seq);
-      response_frames += frames.size();
+      counters.response_frames += frames.size();
       for (const net::WireFrame& f : frames) net::append_wire_frame(f, wire_out);
     }
     out.write(reinterpret_cast<const char*>(wire_out.data()),
@@ -476,10 +463,11 @@ int cmd_wps_serve(const util::Flags& flags) {
   const net::WireDecoderStats& wire = decoder.stats();
   util::Table table({"requests", "lookup", "nearest", "range", "bad", "undecodable",
                      "records out", "resp frames", "resync B", "crc fail"});
-  table.add_row({std::to_string(requests), std::to_string(op_counts[1]),
+  table.add_row({std::to_string(counters.requests), std::to_string(op_counts[1]),
                  std::to_string(op_counts[2]), std::to_string(op_counts[3]),
-                 std::to_string(bad_requests), std::to_string(undecodable),
-                 std::to_string(records_returned), std::to_string(response_frames),
+                 std::to_string(counters.bad_requests), std::to_string(counters.undecodable),
+                 std::to_string(counters.records_returned),
+                 std::to_string(counters.response_frames),
                  std::to_string(wire.resync_bytes), std::to_string(wire.crc_failures)});
   table.print(std::cout);
   if (decoder.buffered() > 0) {
@@ -487,13 +475,12 @@ int cmd_wps_serve(const util::Flags& flags) {
   }
 
   const std::string json_path = flags.get("stats-json", "");
-  if (!json_path.empty()) {
-    extras.p50_us = percentile_us(handle_us, 0.50);
-    extras.p99_us = percentile_us(handle_us, 0.99);
-    write_serve_stats_json(json_path, requests, bad_requests, undecodable,
-                           records_returned, response_frames, wire,
-                           service.stats(), extras);
-    std::cout << "wrote " << json_path << "\n";
+  if (!json_path.empty() && !write_report_file(json_path, [&](util::JsonWriter& json) {
+        json.begin_object();
+        write_serve_json(json, counters, prewarm_s, handle_us, wire, service.stats());
+        json.end_object();
+      })) {
+    return 1;
   }
   return g_wps_interrupted.load() ? 130 : 0;
 }
@@ -847,20 +834,20 @@ int cmd_wps_surveil(const util::Flags& flags) {
   table.print(std::cout);
 
   const std::string json_path = flags.get("stats-json", "");
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    out << "{\n";
-    out << "  \"epochs\": " << report.epochs << ",\n";
-    out << "  \"queries_issued\": " << report.queries_issued << ",\n";
-    out << "  \"lookup_hits\": " << report.lookup_hits << ",\n";
-    out << "  \"infrastructure_seen\": " << report.infrastructure_seen << ",\n";
-    out << "  \"devices_total\": " << report.devices_total << ",\n";
-    out << "  \"devices_sighted\": " << report.devices_sighted << ",\n";
-    out << "  \"devices_tracked\": " << report.devices_tracked << ",\n";
-    out << "  \"mean_tiles_per_device\": " << report.mean_tiles_per_device << ",\n";
-    out << "  \"snapshot_bytes\": " << report.snapshot_bytes << "\n";
-    out << "}\n";
-    std::cout << "wrote " << json_path << "\n";
+  if (!json_path.empty() && !write_report_file(json_path, [&](util::JsonWriter& json) {
+        json.begin_object()
+            .field("epochs", report.epochs)
+            .field("queries_issued", report.queries_issued)
+            .field("lookup_hits", report.lookup_hits)
+            .field("infrastructure_seen", report.infrastructure_seen)
+            .field("devices_total", report.devices_total)
+            .field("devices_sighted", report.devices_sighted)
+            .field("devices_tracked", report.devices_tracked)
+            .field("mean_tiles_per_device", report.mean_tiles_per_device)
+            .field("snapshot_bytes", report.snapshot_bytes)
+            .end_object();
+      })) {
+    return 1;
   }
   return 0;
 }
